@@ -95,14 +95,19 @@ impl Family {
 ///
 /// A run spreads its queries over several independently generated
 /// warehouses. Skewed foreign keys make one warehouse's cost depend on which
-/// keys its seed made hot; averaging over several keeps a run's figures close
-/// across seeds, which the spread check between seeds needs. Warehouses stay
-/// few all the same: each has its own engine, with its own worker-pool
-/// thread (`tpcds_*`) or server dispatchers (`job_serve`), and every thread
-/// that allocates keeps memory in an allocator arena of its own, which makes
-/// peak RSS vary with how the work fell on them. `job_serve` keeps each
-/// warehouse's queries under the plan cache's default capacity (256) so the
-/// warm cache holds every plan.
+/// keys its seed made hot, and a CUSTOMER-like or JOB-like query's cost on
+/// how many joins its seed drew; the median and p95 of a few hundred
+/// queries still move with the seed, so each run has several hundred, which
+/// keeps its figures close across seeds. Warehouses stay few all the same:
+/// each has its own engine, with its own worker-pool thread (`tpcds_*`) or
+/// server dispatchers (`job_serve`), and set-up, the reference answers and
+/// the full-row check grow with them, which the time every run may take
+/// bounds. `job_serve` keeps each warehouse's queries under the plan cache's
+/// default capacity (256) so the warm cache holds every plan.
+///
+/// The end-to-end figures are taken over the window's whole passes (one
+/// request per query), so a pass is kept short enough that a window of 15
+/// seconds holds at least one of them on a 2-core machine, usually two.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sizes {
     /// Independently generated warehouses (catalog + queries) per run.
@@ -121,9 +126,9 @@ impl Sizes {
     /// The sizes the benchmark is defined with.
     pub fn standard(workload: Workload) -> Sizes {
         let (warehouses, scale, queries) = match workload.family() {
-            Family::Tpcds => (4, 0.05, 250),
-            Family::Customer => (4, 0.05, 150),
-            Family::Job => (2, 0.05, 240),
+            Family::Tpcds => (4, 0.05, 200),
+            Family::Customer => (6, 0.05, 60),
+            Family::Job => (4, 0.05, 120),
         };
         Sizes {
             warehouses,
@@ -135,6 +140,7 @@ impl Sizes {
     }
 
     /// Tiny sizes for the benchmark's own tests.
+    #[cfg(test)]
     pub fn tiny() -> Sizes {
         Sizes {
             warehouses: 2,
@@ -176,16 +182,12 @@ pub struct RunConfig {
 impl RunConfig {
     /// The arguments that make the helper process see the same run.
     pub fn helper_args(&self) -> Vec<String> {
-        let mut args = vec![
+        vec![
             "--workload".to_string(),
             self.workload.name().to_string(),
             "--seed".to_string(),
             self.seed.to_string(),
-        ];
-        if self.sizes == Sizes::tiny() {
-            args.push("--tiny".to_string());
-        }
-        args
+        ]
     }
 }
 
@@ -199,7 +201,7 @@ pub enum Command {
 }
 
 /// Parses `--workload <name> --seed <n> --seconds <s> --trace <0|1>` plus
-/// `--tiny`, `--work-dir <dir>` and the helper's `--prep <file>`.
+/// `--work-dir <dir>` and the helper's `--prep <file>`.
 pub fn parse_args(
     args: &[String],
     helper: Option<PathBuf>,
@@ -209,7 +211,6 @@ pub fn parse_args(
     let mut seed = DEFAULT_SEED;
     let mut seconds = 10.0;
     let mut trace = false;
-    let mut tiny = false;
     let mut work_dir = default_work_dir;
     let mut prep = None;
     let mut it = args.iter();
@@ -250,24 +251,18 @@ pub fn parse_args(
                     other => return Err(format!("--trace must be 0 or 1, not {other:?}")),
                 };
             }
-            "--tiny" => tiny = true,
             "--work-dir" => work_dir = PathBuf::from(value("--work-dir")?),
             "--prep" => prep = Some(PathBuf::from(value("--prep")?)),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
     let workload = workload.ok_or("--workload is required")?;
-    let sizes = if tiny {
-        Sizes::tiny()
-    } else {
-        Sizes::standard(workload)
-    };
     let config = RunConfig {
         workload,
         seed,
         seconds,
         trace,
-        sizes,
+        sizes: Sizes::standard(workload),
         work_dir,
         helper,
     };

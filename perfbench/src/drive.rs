@@ -1,6 +1,7 @@
 //! The measured window: closed-loop clients issuing requests, the per-pass
 //! deterministic counts, and the spans of traced requests.
 
+use crate::calib::{self, Speed};
 use crate::config::{RunConfig, Workload};
 use crate::prep::Prep;
 use crate::setup::Query;
@@ -311,6 +312,8 @@ pub struct ClientLog {
     pub passes: Vec<Counts>,
     /// When each of those passes ended, from the start of the window.
     pub pass_ends: Vec<Duration>,
+    /// The process's CPU time when each of those passes ended.
+    pub pass_cpu: Vec<Duration>,
     pub spans: Vec<Span>,
     pub mismatches: Vec<String>,
     pub errors: Vec<String>,
@@ -322,15 +325,25 @@ pub struct ClientLog {
     /// Per traced request: `ExecutionMetrics::elapsed` and tuples produced.
     pub elapsed: Vec<Duration>,
     pub tuples: u64,
+    /// The calibration kernel's times: (when, from the start of the window;
+    /// how long it took).
+    pub kernel: Vec<(Duration, Duration)>,
 }
 
 /// The window's outcome.
 #[derive(Debug)]
 pub struct Window {
     pub duration: Duration,
-    pub cpu: Duration,
+    /// The process's CPU time when the window started and ended.
+    pub cpu_at_start: Duration,
+    pub cpu_at_end: Duration,
     /// Plan-cache evictions during the window, over every warehouse.
     pub evictions: u64,
+    /// The share of the time the machine's CPUs wanted to run during the
+    /// window that the hypervisor stole.
+    pub steal_share: f64,
+    /// The host's speed over the window, from every client's kernel times.
+    pub speed: Speed,
     pub clients: Vec<ClientLog>,
 }
 
@@ -350,10 +363,11 @@ pub fn run_window(config: &RunConfig, warehouses: &[Warehouse], prep: &Prep) -> 
             .sum()
     };
     let evictions_before = evictions();
-    let cpu_before = crate::stats::process_cpu();
+    let cpu_at_start = crate::stats::process_cpu();
+    let (wanted_at_start, steal_at_start) = crate::stats::machine_ticks();
     let started = Instant::now();
     let deadline = started + Duration::from_secs_f64(config.seconds);
-    let logs = std::thread::scope(|scope| {
+    let logs: Vec<ClientLog> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let order = &order;
@@ -371,10 +385,15 @@ pub fn run_window(config: &RunConfig, warehouses: &[Warehouse], prep: &Prep) -> 
             .collect()
     });
     let duration = started.elapsed();
+    let (wanted, steal) = crate::stats::machine_ticks();
+    let wanted = wanted.saturating_sub(wanted_at_start);
     Window {
         duration,
-        cpu: crate::stats::process_cpu().saturating_sub(cpu_before),
+        cpu_at_start,
+        cpu_at_end: crate::stats::process_cpu(),
         evictions: evictions() - evictions_before,
+        steal_share: steal.saturating_sub(steal_at_start) as f64 / wanted.max(1) as f64,
+        speed: Speed::of(logs.iter().flat_map(|c| c.kernel.iter().copied()).collect()),
         clients: logs,
     }
 }
@@ -396,7 +415,15 @@ fn client(
     let mut pass = 0;
     let mut step = 0;
     let mut acc = PassAcc::new(order.len());
+    let mut calibrated: Option<Instant> = None;
     while Instant::now() < deadline {
+        // Between requests, so the kernel and a request never share the
+        // client's thread or the engine's workers.
+        if calibrated.is_none_or(|at| at.elapsed() >= calib::INTERVAL) {
+            let at = origin.elapsed();
+            log.kernel.push((at, calib::kernel()));
+            calibrated = Some(Instant::now());
+        }
         if step == 0 && workload == Workload::CustomerPlan {
             for w in warehouses {
                 w.engine.plan_cache().clear();
@@ -474,6 +501,7 @@ fn client(
             let counts = std::mem::replace(&mut acc, PassAcc::new(order.len())).finish();
             log.passes.push(counts);
             log.pass_ends.push(origin.elapsed());
+            log.pass_cpu.push(crate::stats::process_cpu());
             pass += 1;
             step = 0;
         }

@@ -14,6 +14,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 
+mod calib;
 mod config;
 mod drive;
 mod gate;
@@ -48,7 +49,7 @@ fn main() -> ExitCode {
             eprintln!("perfbench: {e}");
             eprintln!(
                 "usage: perfbench --workload <tpcds_mem|tpcds_file|customer_plan|job_serve> \
-                 --seed <n> --seconds <s> --trace <0|1> [--tiny] [--work-dir <dir>]\n\
+                 --seed <n> --seconds <s> --trace <0|1> [--work-dir <dir>]\n\
                  the default seed is {DEFAULT_SEED}; claims must also hold on the held-out \
                  seed {HELD_OUT_SEED}"
             );
@@ -108,15 +109,24 @@ fn run(config: &RunConfig, tamper: &dyn Fn(&mut Prep)) -> Result<Report, String>
     let mut prep = prep::run_helper(config, &run_dir.0)?;
     tamper(&mut prep);
     let mut setup_times = setup::SetupTimes::default();
-    let warehouses = setup::set_up(config, &prep, &run_dir.0, 0, &mut setup_times)?;
+    // Half the set-ups run before the window and half after it, so
+    // `setup_s` samples the host at two moments the window's length apart.
+    // The last one before the window serves it; each is dropped before the
+    // next, so peak RSS holds one set-up at a time.
+    let before = config.sizes.setup_repeats.div_ceil(2);
+    let mut warehouses = Vec::new();
+    for repeat in 0..before {
+        drop(warehouses);
+        warehouses = setup::set_up(config, &prep, &run_dir.0, repeat, &mut setup_times)?;
+    }
     let window = drive::run_window(config, &warehouses, &prep);
-    // The peak of one set-up and the window: read before the full-row check,
+    // The peak of a set-up and the window: read before the full-row check,
     // whose collected answers would otherwise set it, and before the
-    // repeated set-ups that only time `setup_s`.
+    // set-ups after the window.
     let peak_rss_mb = stats::peak_rss_mb();
     let (mut problems, counts) = setup::check_answers(config.workload, &warehouses, &prep);
     drop(warehouses);
-    for repeat in 1..config.sizes.setup_repeats {
+    for repeat in before..config.sizes.setup_repeats {
         setup::set_up(config, &prep, &run_dir.0, repeat, &mut setup_times)?;
     }
     if config.trace {

@@ -5,6 +5,7 @@
 //! the workload: the reference plans, and for `tpcds_file` the in-memory
 //! tables the files are written from, never count towards its peak RSS.
 
+use crate::calib;
 use crate::config::{warehouse_seed, RunConfig, Workload};
 use crate::gate::{text_hash, Answer};
 use bqo_core::format::write_table;
@@ -27,7 +28,8 @@ pub struct Prep {
     pub sql: Vec<Vec<u64>>,
     /// `tpcds_file` only: hash of each BQO plan over in-memory tables.
     pub plans: Vec<Vec<u64>>,
-    /// `tpcds_file` only: (generate seconds, write seconds) per set-up repeat.
+    /// `tpcds_file` only: (generate seconds, write seconds) per set-up
+    /// repeat, at the reference host speed.
     pub setup: Vec<(f64, f64)>,
 }
 
@@ -56,6 +58,7 @@ pub fn write(config: &RunConfig, out: &Path) -> Result<(), String> {
     let mut warehouses = Vec::new();
     for _ in 0..if files { sizes.setup_repeats } else { 1 } {
         warehouses.clear();
+        let slowness = calib::slowness_now();
         let started = Instant::now();
         for k in 0..sizes.warehouses {
             let seed = warehouse_seed(config.seed, k);
@@ -66,13 +69,13 @@ pub fn write(config: &RunConfig, out: &Path) -> Result<(), String> {
                     .generate(sizes.scale, sizes.queries, seed),
             );
         }
-        let generate_s = started.elapsed().as_secs_f64();
+        let generate_s = started.elapsed().as_secs_f64() / slowness;
         if files {
             let started = Instant::now();
             for (k, w) in warehouses.iter().enumerate() {
                 write_files(&w.catalog, &warehouse_dir(run_dir, k), sizes.chunk_rows)?;
             }
-            let write_s = started.elapsed().as_secs_f64();
+            let write_s = started.elapsed().as_secs_f64() / slowness;
             let _ = writeln!(text, "setup {generate_s} {write_s}");
         }
     }

@@ -1,5 +1,6 @@
 //! Turns a run into its metrics and prints them.
 
+use crate::calib;
 use crate::config::{RunConfig, Workload};
 use crate::drive::{Counts, Window};
 use crate::setup::{server_config, SetupTimes};
@@ -95,6 +96,8 @@ pub struct Report {
     pub failed: u64,
     /// End-to-end metrics (untraced run) or per-layer metrics (traced run).
     pub metrics: Vec<Metric>,
+    /// The timed end-to-end figures before the host-speed adjustment.
+    pub unadjusted: Vec<Metric>,
     /// The deterministic counts of one pass.
     pub counts: BTreeMap<&'static str, f64>,
     pub context: Vec<(&'static str, String)>,
@@ -118,9 +121,11 @@ impl Report {
             .map(|(k, v)| format!("{}: {}", json_string(k), json_number(*v)))
             .collect();
         let _ = writeln!(out, "counts {{{}}}", counts.join(", "));
-        for m in &self.metrics {
-            let samples = m.samples.map_or(String::new(), |n| format!(" (n={n})"));
-            let _ = writeln!(out, "metric {} = {} {}{samples}", m.name, m.value, m.unit);
+        for (prefix, metrics) in [("metric", &self.metrics), ("unadjusted", &self.unadjusted)] {
+            for m in metrics {
+                let samples = m.samples.map_or(String::new(), |n| format!(" (n={n})"));
+                let _ = writeln!(out, "{prefix} {} = {} {}{samples}", m.name, m.value, m.unit);
+            }
         }
         for p in &self.problems {
             let _ = writeln!(out, "problem {p}");
@@ -217,7 +222,7 @@ fn count_values(c: &Counts) -> BTreeMap<&'static str, f64> {
     ])
 }
 
-fn context(config: &RunConfig) -> Vec<(&'static str, String)> {
+fn context(config: &RunConfig, window: &Window) -> Vec<(&'static str, String)> {
     let command_output = |program: &str, args: &[&str]| {
         std::process::Command::new(program)
             .args(args)
@@ -248,6 +253,16 @@ fn context(config: &RunConfig) -> Vec<(&'static str, String)> {
         ("seconds", config.seconds.to_string()),
         ("trace", u8::from(config.trace).to_string()),
         ("nproc", nproc.to_string()),
+        ("steal_share", format!("{:.4}", window.steal_share)),
+        (
+            "kernel_us",
+            format!(
+                "{:.1} (median of {}; reference {})",
+                us(window.speed.median_kernel()),
+                window.speed.len(),
+                us(calib::REFERENCE)
+            ),
+        ),
         (
             "profile",
             if cfg!(debug_assertions) {
@@ -280,6 +295,7 @@ pub fn build(
         .filter(|s| s.ok)
         .map(|s| ms(s.latency))
         .collect();
+    let completed = ok.len() as f64;
     let failed = attempted - ok.len() as u64;
     for c in &window.clients {
         problems.extend(c.mismatches.iter().cloned());
@@ -300,46 +316,46 @@ pub fn build(
     }
     let counts = count_values(counts);
 
+    let passes = whole_passes(window).unwrap_or_else(|| {
+        problems.push(format!(
+            "the window completed no whole pass of the {} queries",
+            config.sizes.total_queries()
+        ));
+        WholePasses::up_to(window, window.duration, window.cpu_at_end)
+    });
+    let n = passes.latencies.len();
+    let metric = |name, value, samples| Metric {
+        name,
+        value,
+        unit: unit_of(name),
+        samples,
+    };
+    // The same figures at the speed the host ran at, for people.
+    let unadjusted = vec![
+        metric("qps", ratio(n as f64, passes.seconds), Some(n)),
+        metric("latency_p50_ms", quantile(&passes.unadjusted, 0.5), Some(n)),
+        metric(
+            "latency_p95_ms",
+            quantile(&passes.unadjusted, 0.95),
+            Some(n),
+        ),
+        metric("cpu_ms_per_query", ratio(ms(passes.cpu), n as f64), Some(n)),
+    ];
     let metrics = if config.trace {
         per_layer(setup, window, peak_rss_mb, &counts)
     } else {
-        if ok.len() < MIN_SLICE_SAMPLES {
-            problems.push(format!(
-                "{} samples leave fewer than 10 beyond p95",
-                ok.len()
-            ));
+        if n < MIN_SAMPLES {
+            problems.push(format!("{n} samples leave fewer than 10 beyond p95"));
         }
-        let metric = |name, value, samples| Metric {
-            name,
-            value,
-            unit: unit_of(name),
-            samples,
-        };
-        let completed = ok.len() as f64;
-        let slices = slices(window);
-        let sliced = Some(slices.iter().map(|s| s.latencies.len()).sum());
-        let over_slices =
-            |f: &dyn Fn(&Slice) -> f64| median(&slices.iter().map(f).collect::<Vec<_>>());
+        let slowness = ratio(passes.seconds, passes.reference_seconds / passes.kept);
         vec![
-            metric(
-                "qps",
-                over_slices(&|s| s.latencies.len() as f64 / s.duration),
-                sliced,
-            ),
-            metric(
-                "latency_p50_ms",
-                over_slices(&|s| quantile(&s.latencies, 0.5)),
-                sliced,
-            ),
-            metric(
-                "latency_p95_ms",
-                over_slices(&|s| quantile(&s.latencies, 0.95)),
-                sliced,
-            ),
+            metric("qps", ratio(n as f64, passes.reference_seconds), Some(n)),
+            metric("latency_p50_ms", quantile(&passes.latencies, 0.5), Some(n)),
+            metric("latency_p95_ms", quantile(&passes.latencies, 0.95), Some(n)),
             metric(
                 "cpu_ms_per_query",
-                ratio(ms(window.cpu), completed),
-                Some(ok.len()),
+                ratio(ratio(ms(passes.cpu), slowness), n as f64),
+                Some(n),
             ),
             metric("ok_ratio", ratio(completed, attempted as f64), None),
             metric("setup_s", setup.median_total(), Some(setup.total_s.len())),
@@ -350,58 +366,73 @@ pub fn build(
         attempted,
         failed,
         metrics,
+        unadjusted,
         counts,
-        context: context(config),
+        context: context(config, window),
         problems: problems.clone(),
     }
 }
 
-/// Completed requests a slice must hold: a p95 with 10 samples beyond it.
-const MIN_SLICE_SAMPLES: usize = 200;
+/// Completed requests the end-to-end figures need: a p95 with 10 samples
+/// beyond it.
+const MIN_SAMPLES: usize = 200;
 
-/// A slice of the window: its length in seconds and the latencies (ms) of
-/// the requests that completed in it.
-struct Slice {
-    duration: f64,
+/// The part of the window the end-to-end figures cover: from its start to
+/// the end of client 0's last whole pass.
+struct WholePasses {
+    seconds: f64,
+    /// How long it would have lasted at the reference host speed, with
+    /// nothing stolen.
+    reference_seconds: f64,
+    /// The share of the time the CPUs wanted to run that the hypervisor did
+    /// not steal.
+    kept: f64,
+    /// The process's CPU time over it.
+    cpu: Duration,
+    /// Latencies (ms) of the requests of any client that completed in it,
+    /// each divided by the host's slowness at the request's midpoint, less
+    /// the stolen share.
     latencies: Vec<f64>,
+    /// The same latencies as the clock read them.
+    unadjusted: Vec<f64>,
 }
 
-/// Cuts the window at the ends of client 0's passes, merging passes until a
-/// slice holds [`MIN_SLICE_SAMPLES`] completed requests of any client. Every
-/// pass runs the same queries, so slices differ only in the conditions they
-/// ran under, and a median over slices sets aside one that other load on the
-/// machine slowed. Requests after the last cut are left out; a window with no
-/// full slice is one slice.
-fn slices(window: &Window) -> Vec<Slice> {
-    let mut done: Vec<(Duration, f64)> = window
-        .clients
-        .iter()
-        .flat_map(|c| c.samples.iter().filter(|s| s.ok))
-        .map(|s| (s.done, ms(s.latency)))
-        .collect();
-    done.sort_by_key(|&(at, _)| at);
-    let mut slices = Vec::new();
-    let (mut start, mut next, mut latencies) = (Duration::ZERO, 0, Vec::new());
-    for &end in &window.clients[0].pass_ends {
-        while next < done.len() && done[next].0 <= end {
-            latencies.push(done[next].1);
-            next += 1;
+impl WholePasses {
+    /// The window up to `end`, when the process's CPU time read `cpu_at_end`.
+    ///
+    /// The kernel runs for a fraction of a millisecond, so its median
+    /// misses the hypervisor's steal, which takes a CPU away for
+    /// milliseconds at a time; the window's stolen share is taken out of
+    /// its wall-clock figures separately. CPU time never counts it.
+    fn up_to(window: &Window, end: Duration, cpu_at_end: Duration) -> WholePasses {
+        let kept = 1.0 - window.steal_share.clamp(0.0, 0.9);
+        let (mut latencies, mut unadjusted) = (Vec::new(), Vec::new());
+        for s in window.clients.iter().flat_map(|c| &c.samples) {
+            if s.ok && s.done <= end {
+                let midpoint = s.done.saturating_sub(s.latency / 2);
+                unadjusted.push(ms(s.latency));
+                latencies.push(ms(s.latency) * kept / window.speed.slowness_at(midpoint));
+            }
         }
-        if latencies.len() >= MIN_SLICE_SAMPLES {
-            slices.push(Slice {
-                duration: (end - start).as_secs_f64(),
-                latencies: std::mem::take(&mut latencies),
-            });
-            start = end;
+        WholePasses {
+            seconds: end.as_secs_f64(),
+            reference_seconds: window.speed.reference_time(end).as_secs_f64() * kept,
+            kept,
+            cpu: cpu_at_end.saturating_sub(window.cpu_at_start),
+            latencies,
+            unadjusted,
         }
     }
-    if slices.is_empty() {
-        slices.push(Slice {
-            duration: window.duration.as_secs_f64(),
-            latencies: done.iter().map(|&(_, latency)| latency).collect(),
-        });
-    }
-    slices
+}
+
+/// The window up to the end of client 0's last whole pass, or `None` when
+/// it completed none. Every pass runs every query once, so the figures
+/// cover the same mix of queries however many passes a commit's speed fits
+/// in the window; the requests after the last pass end are left out.
+fn whole_passes(window: &Window) -> Option<WholePasses> {
+    let lead = &window.clients[0];
+    let (&end, &cpu) = lead.pass_ends.last().zip(lead.pass_cpu.last())?;
+    Some(WholePasses::up_to(window, end, cpu))
 }
 
 fn unit_of(name: &str) -> &'static str {
@@ -514,4 +545,102 @@ fn tracing_overhead(window: &Window) -> f64 {
     }
     let mean = |v: &[f64]| ratio(v.iter().sum(), v.len() as f64);
     ratio(mean(&traced), mean(&untraced))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::calib::{Speed, REFERENCE};
+    use crate::drive::{ClientLog, Sample};
+
+    fn sample(done_ms: u64, latency_ms: u64) -> Sample {
+        let latency = Duration::from_millis(latency_ms);
+        Sample {
+            latency,
+            ok: true,
+            traced: false,
+            effective: latency,
+            done: Duration::from_millis(done_ms),
+        }
+    }
+
+    #[test]
+    fn figures_cover_whole_passes_only() {
+        let lead = ClientLog {
+            samples: vec![
+                sample(400, 4),
+                sample(1000, 6),
+                sample(1500, 5),
+                sample(2000, 5),
+            ],
+            pass_ends: vec![Duration::from_millis(1000), Duration::from_millis(2000)],
+            pass_cpu: vec![Duration::from_millis(1100), Duration::from_millis(1900)],
+            ..ClientLog::default()
+        };
+        let other = ClientLog {
+            // The last request ends after the lead client's last whole pass.
+            samples: vec![sample(900, 9), sample(2100, 50)],
+            ..ClientLog::default()
+        };
+        let window = Window {
+            duration: Duration::from_millis(2100),
+            cpu_at_start: Duration::from_millis(100),
+            cpu_at_end: Duration::from_millis(2000),
+            evictions: 0,
+            steal_share: 0.0,
+            speed: Speed::default(),
+            clients: vec![lead, other],
+        };
+        let passes = whole_passes(&window).expect("two whole passes");
+        assert_eq!(passes.seconds, 2.0);
+        assert_eq!(passes.cpu, Duration::from_millis(1800));
+        let mut latencies = passes.latencies.clone();
+        latencies.sort_by(f64::total_cmp);
+        assert_eq!(latencies, [4.0, 5.0, 5.0, 6.0, 9.0]);
+
+        // On a host running at half the reference speed throughout, the
+        // same window is worth half the time and half the latency.
+        let window = Window {
+            speed: Speed::of(
+                (0..100)
+                    .map(|i| (Duration::from_millis(i * 25), REFERENCE * 2))
+                    .collect(),
+            ),
+            ..window
+        };
+        let slow = whole_passes(&window).expect("two whole passes");
+        assert!((slow.reference_seconds - 1.0).abs() < 1e-9);
+        assert_eq!(slow.unadjusted, passes.latencies);
+        let halved: Vec<f64> = passes.latencies.iter().map(|l| l / 2.0).collect();
+        assert_eq!(slow.latencies, halved);
+
+        // The same holds when the hypervisor steals half the time instead,
+        // except that CPU time, which never counts steal, keeps its speed.
+        let window = Window {
+            speed: Speed::default(),
+            steal_share: 0.5,
+            ..window
+        };
+        let stolen = whole_passes(&window).expect("two whole passes");
+        assert!((stolen.reference_seconds - 1.0).abs() < 1e-9);
+        assert_eq!(stolen.latencies, halved);
+        assert_eq!(stolen.kept, 0.5);
+    }
+
+    #[test]
+    fn a_window_without_a_whole_pass_has_no_figures() {
+        let window = Window {
+            duration: Duration::from_millis(500),
+            cpu_at_start: Duration::ZERO,
+            cpu_at_end: Duration::from_millis(500),
+            evictions: 0,
+            steal_share: 0.0,
+            speed: Speed::default(),
+            clients: vec![ClientLog {
+                samples: vec![sample(500, 500)],
+                ..ClientLog::default()
+            }],
+        };
+        assert!(whole_passes(&window).is_none());
+    }
 }

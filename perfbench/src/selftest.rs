@@ -189,3 +189,19 @@ fn a_wrong_reference_answer_fails_the_run() {
         .count();
     assert!(per_request > 1, "{:?}", report.problems);
 }
+
+#[test]
+fn a_window_without_a_whole_pass_fails_the_run() {
+    let mut config = config(Workload::JobServe, DEFAULT_SEED, false, "short");
+    config.seconds = 1e-6;
+    let report = run(&config);
+    assert!(!report.correct);
+    assert!(
+        report
+            .problems
+            .iter()
+            .any(|p| p.starts_with("the window completed no whole pass")),
+        "{:?}",
+        report.problems
+    );
+}

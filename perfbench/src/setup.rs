@@ -1,6 +1,7 @@
 //! Set-up of the measured process: the warehouses' engines, statements and
 //! servers, and the full-row check of every answer before the window.
 
+use crate::calib;
 use crate::config::{warehouse_seed, Family, RunConfig, Workload};
 use crate::drive::{Counts, Outcome, PassAcc};
 use crate::gate::{text_hash, Answer};
@@ -42,7 +43,8 @@ pub struct Query {
     pub stmt: Option<PreparedStatement>,
 }
 
-/// Set-up timings, one entry per repeat.
+/// Set-up timings, one entry per repeat, scaled to the reference host speed
+/// (see [`crate::calib`]).
 #[derive(Debug, Default)]
 pub struct SetupTimes {
     pub total_s: Vec<f64>,
@@ -60,10 +62,11 @@ impl SetupTimes {
 /// Sets the workload up once; `repeat` picks the helper's timings for the
 /// generation and `.bqo` writes of `tpcds_file`.
 ///
-/// One set-up is what a user waits for before the first request: data
+/// One timed set-up is what a user waits for before the first request: data
 /// generation (for `tpcds_file` in the helper, with the `.bqo` writes),
-/// opening the files, building the engines, preparing statements or warming
-/// the plan cache, and one warm-up request per warehouse.
+/// opening the files, building the engines, and preparing statements or
+/// warming the plan cache. One warm-up request per warehouse follows,
+/// outside the timing.
 pub fn set_up(
     config: &RunConfig,
     prep: &Prep,
@@ -71,9 +74,12 @@ pub fn set_up(
     repeat: usize,
     times: &mut SetupTimes,
 ) -> Result<Vec<Warehouse>, String> {
+    let slowness = calib::slowness_now();
+    let since = |started: Instant| started.elapsed().as_secs_f64() / slowness;
     let started = Instant::now();
     let mut helper_s = 0.0;
     let catalogs = if config.workload == Workload::TpcdsFile {
+        // The helper scaled these by its own slowness.
         let &(generate_s, write_s) = prep
             .setup
             .get(repeat)
@@ -90,18 +96,21 @@ pub fn set_up(
                 Ok((open_files(&schema, &warehouse_dir(run_dir, k))?, queries))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        times.open_s.push(opened.elapsed().as_secs_f64());
+        times.open_s.push(since(opened));
         catalogs
     } else {
         let generated = Instant::now();
         let catalogs = generate(config, config.sizes.scale);
-        times.generate_s.push(generated.elapsed().as_secs_f64());
+        times.generate_s.push(since(generated));
         catalogs
     };
     let warehouses = catalogs
         .into_iter()
         .map(|(catalog, specs)| build(config.workload, catalog, specs))
         .collect::<Result<Vec<_>, String>>()?;
+    times.total_s.push(helper_s + since(started));
+    // Untimed: one request costs what the seed made its query cost, so it
+    // would make `setup_s` follow the seed rather than the program.
     for w in &warehouses {
         if let Some(q) = w.queries.first() {
             crate::drive::request(config.workload, w, q, None)?;
@@ -110,9 +119,6 @@ pub fn set_up(
             w.engine.plan_cache().clear();
         }
     }
-    times
-        .total_s
-        .push(helper_s + started.elapsed().as_secs_f64());
     Ok(warehouses)
 }
 

@@ -42,6 +42,33 @@ pub fn process_cpu() -> Duration {
     Duration::from_millis((ticks(11) + ticks(12)) * 1000 / USER_HZ)
 }
 
+/// The machine's CPU time so far, in `/proc/stat` ticks: the time its CPUs
+/// were busy or wanted to be (every state but idle and iowait), and steal
+/// alone. Steal is time a virtual machine's CPUs were ready to run while
+/// the hypervisor ran something else; it slows every wall-clock figure
+/// without showing in this process's CPU time.
+pub fn machine_ticks() -> (u64, u64) {
+    let Ok(stat) = std::fs::read_to_string("/proc/stat") else {
+        return (0, 0);
+    };
+    // user nice system idle iowait irq softirq steal; guest time is
+    // already counted in user.
+    let fields: Vec<u64> = stat
+        .lines()
+        .next()
+        .unwrap_or("")
+        .split_whitespace()
+        .skip(1)
+        .take(8)
+        .filter_map(|f| f.parse().ok())
+        .collect();
+    let idle: u64 = fields.iter().skip(3).take(2).sum();
+    (
+        fields.iter().sum::<u64>() - idle,
+        fields.get(7).copied().unwrap_or(0),
+    )
+}
+
 /// Peak resident set size of this process (`VmHWM`), in MiB.
 pub fn peak_rss_mb() -> f64 {
     std::fs::read_to_string("/proc/self/status")
