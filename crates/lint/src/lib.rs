@@ -201,6 +201,7 @@ impl Config {
                 "crates/format/src/reader.rs".to_string(),
                 "crates/format/src/writer.rs".to_string(),
                 "crates/format/src/xxhash.rs".to_string(),
+                "crates/plan/src/relset.rs".to_string(),
             ],
             ci_file: ".github/workflows/ci.yml".to_string(),
             suites_dir: "tests/tests".to_string(),

@@ -19,15 +19,13 @@ pub fn prune_low_benefit_filters(
     if lambda_threshold <= 0.0 || plan.placements.is_empty() {
         return 0;
     }
-    let keep: Vec<bool> = (0..plan.placements.len())
-        .map(|idx| cost_model.estimated_elimination_fraction(plan, idx) >= lambda_threshold)
-        .collect();
+    let lambdas = cost_model.elimination_fractions(plan);
     let before = plan.placements.len();
     let mut idx = 0;
     plan.placements.retain(|_| {
-        let k = keep[idx];
+        let keep = lambdas[idx] >= lambda_threshold;
         idx += 1;
-        k
+        keep
     });
     before - plan.placements.len()
 }

@@ -7,8 +7,7 @@
 //! minimizes plain `Cout` — the effect of bitvector filters is *not* part of
 //! the cost — over bushy trees without cross products.
 
-use bqo_plan::{CardinalityEstimator, CostModel, JoinGraph, JoinTree, RelId};
-use std::collections::{BTreeSet, HashMap};
+use bqo_plan::{CardinalityEstimator, CostModel, JoinGraph, JoinTree, RelId, RelSet};
 
 /// Exact dynamic-programming optimizer (DPsub over connected subsets).
 #[derive(Debug, Clone, Copy, Default)]
@@ -22,6 +21,9 @@ impl DpOptimizer {
 
     /// Finds a minimum-`Cout` bushy join tree without cross products. Cost is
     /// the plain (bitvector-unaware) `Cout`.
+    ///
+    /// Subsets are `u32` masks (bit `i` is relation `i`); connectivity and
+    /// adjacency come from per-subset neighbour masks, built once.
     ///
     /// # Panics
     /// Panics if the graph is empty or disconnected (a disconnected query
@@ -39,53 +41,77 @@ impl DpOptimizer {
         );
 
         let est = cost_model.estimator();
-        // best[mask] = (cost, tree). Cost is the full Cout of the subplan
-        // (base cardinalities + intermediate join results).
-        let mut best: HashMap<u32, (f64, JoinTree)> = HashMap::new();
+        let full: u32 = (1u32 << n) - 1;
+        let size = full as usize + 1;
+        // neighbors[mask]: relations adjacent to some relation of `mask`,
+        // built from each relation's own neighbour mask.
+        let own: Vec<u32> = graph
+            .relation_ids()
+            .map(|r| {
+                graph
+                    .neighbors(r)
+                    .iter()
+                    .fold(0u32, |m, o| m | 1 << o.index())
+            })
+            .collect();
+        let mut neighbors = vec![0u32; size];
+        for mask in 1..size {
+            neighbors[mask] = neighbors[mask & (mask - 1)] | own[mask.trailing_zeros() as usize];
+        }
+        let connected = |mask: u32| {
+            let mut seen = mask & mask.wrapping_neg();
+            loop {
+                let grown = (seen | neighbors[seen as usize]) & mask;
+                if grown == seen {
+                    return seen == mask;
+                }
+                seen = grown;
+            }
+        };
+
+        // best[mask] = (cost, build-side mask of the best split; 0 for a
+        // leaf). Cost is the full Cout of the subplan (base cardinalities +
+        // intermediate join results).
+        let mut best: Vec<Option<(f64, u32)>> = vec![None; size];
         for r in graph.relation_ids() {
-            best.insert(1u32 << r.index(), (est.base_card(r), JoinTree::Leaf(r)));
+            best[1 << r.index()] = Some((est.base_card(r), 0));
         }
 
-        let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
         for mask in 1..=full {
-            if mask.count_ones() < 2 {
+            if mask.count_ones() < 2 || !connected(mask) {
                 continue;
             }
-            let set = mask_to_set(mask);
-            if !graph.is_connected_subset(&set) {
-                continue;
-            }
-            let output = est.join_card(&set);
-            let mut best_here: Option<(f64, JoinTree)> = None;
-            // Enumerate proper subsets of `mask` as the build side.
+            let output = est.join_card(&RelSet::from_words(vec![u64::from(mask)]));
+            let mut best_here: Option<(f64, u32)> = None;
+            // Enumerate proper subsets of `mask` as the build side; both
+            // orders of each pair are visited (build vs probe matters).
             let mut sub = (mask - 1) & mask;
             while sub > 0 {
                 let other = mask & !sub;
-                if sub < other {
-                    // Each (sub, other) unordered pair is visited twice; both
-                    // orders matter for hash joins (build vs probe), so keep
-                    // both but avoid re-checking connectivity twice by letting
-                    // the lookup below fail fast.
-                }
-                if let (Some((c1, t1)), Some((c2, t2))) = (best.get(&sub), best.get(&other)) {
-                    let build_set = mask_to_set(sub);
-                    let probe_set = mask_to_set(other);
-                    if !graph.edges_across(&build_set, &probe_set).is_empty() {
+                if let (Some((c1, _)), Some((c2, _))) = (best[sub as usize], best[other as usize]) {
+                    if neighbors[sub as usize] & other != 0 {
                         let cost = c1 + c2 + output;
-                        if best_here.as_ref().map(|(c, _)| cost < *c).unwrap_or(true) {
-                            best_here = Some((cost, JoinTree::join(t1.clone(), t2.clone())));
+                        if best_here.is_none_or(|(c, _)| cost < c) {
+                            best_here = Some((cost, sub));
                         }
                     }
                 }
                 sub = (sub - 1) & mask;
             }
-            if let Some(entry) = best_here {
-                best.insert(mask, entry);
-            }
+            best[mask as usize] = best_here;
         }
-        best.remove(&full)
-            .expect("connected graph always has a cross-product-free plan")
-            .1
+        tree_of(&best, full)
+    }
+}
+
+/// Rebuilds the best tree for `mask` from the DP table's recorded splits.
+fn tree_of(best: &[Option<(f64, u32)>], mask: u32) -> JoinTree {
+    let (_, build) =
+        best[mask as usize].expect("connected graph always has a cross-product-free plan");
+    if build == 0 {
+        JoinTree::Leaf(RelId(mask.trailing_zeros() as usize))
+    } else {
+        JoinTree::join(tree_of(best, build), tree_of(best, mask & !build))
     }
 }
 
@@ -94,6 +120,17 @@ impl DpOptimizer {
 /// (the CUSTOMER-like workload reaches 80 joins).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedyOptimizer;
+
+/// One partial plan of the greedy optimizer.
+struct Fragment {
+    /// Relations joined by the fragment.
+    set: RelSet,
+    /// Relations adjacent to some relation of the fragment.
+    neighbors: RelSet,
+    /// `join_card(set)`, computed once when the fragment is formed.
+    card: f64,
+    tree: JoinTree,
+}
 
 impl GreedyOptimizer {
     /// Creates the optimizer.
@@ -104,56 +141,56 @@ impl GreedyOptimizer {
     /// Builds a bushy tree by greedily merging the cheapest connected pair.
     pub fn best_tree(&self, graph: &JoinGraph, cost_model: &CostModel<'_>) -> JoinTree {
         let est: &CardinalityEstimator<'_> = cost_model.estimator();
-        assert!(
-            graph.num_relations() > 0,
-            "cannot optimize an empty join graph"
-        );
-        let mut fragments: Vec<(BTreeSet<RelId>, JoinTree)> = graph
+        let n = graph.num_relations();
+        assert!(n > 0, "cannot optimize an empty join graph");
+        let mut fragments: Vec<Fragment> = graph
             .relation_ids()
-            .map(|r| ([r].into_iter().collect(), JoinTree::Leaf(r)))
+            .map(|r| {
+                let set = RelSet::singleton(n, r);
+                Fragment {
+                    card: est.join_card(&set),
+                    set,
+                    neighbors: graph.neighbor_set(r),
+                    tree: JoinTree::Leaf(r),
+                }
+            })
             .collect();
         while fragments.len() > 1 {
             let mut best_pair: Option<(usize, usize, f64)> = None;
             for i in 0..fragments.len() {
                 for j in i + 1..fragments.len() {
-                    if graph
-                        .edges_across(&fragments[i].0, &fragments[j].0)
-                        .is_empty()
-                    {
+                    if !fragments[i].neighbors.intersects(&fragments[j].set) {
                         continue;
                     }
-                    let mut merged = fragments[i].0.clone();
-                    merged.extend(fragments[j].0.iter().copied());
-                    let card = est.join_card(&merged);
-                    if best_pair.map(|(_, _, c)| card < c).unwrap_or(true) {
+                    let card = est.join_card(&fragments[i].set.union(&fragments[j].set));
+                    if best_pair.is_none_or(|(_, _, c)| card < c) {
                         best_pair = Some((i, j, card));
                     }
                 }
             }
-            let (i, j, _) = best_pair
+            let (i, j, card) = best_pair
                 .expect("disconnected join graphs require cross products, which are not supported");
             // Keep the smaller side as the hash-join build input.
-            let (set_j, tree_j) = fragments.swap_remove(j);
-            let (set_i, tree_i) = fragments.swap_remove(i.min(fragments.len()));
-            let (build, probe, build_set, probe_set) =
-                if est.join_card(&set_i) <= est.join_card(&set_j) {
-                    (tree_i, tree_j, set_i, set_j)
-                } else {
-                    (tree_j, tree_i, set_j, set_i)
-                };
-            let mut merged = build_set;
-            merged.extend(probe_set);
-            fragments.push((merged, JoinTree::join(build, probe)));
+            let fragment_j = fragments.swap_remove(j);
+            let fragment_i = fragments.swap_remove(i.min(fragments.len()));
+            let (build, probe) = if fragment_i.card <= fragment_j.card {
+                (fragment_i, fragment_j)
+            } else {
+                (fragment_j, fragment_i)
+            };
+            let mut set = build.set;
+            set.union_with(&probe.set);
+            let mut neighbors = build.neighbors;
+            neighbors.union_with(&probe.neighbors);
+            fragments.push(Fragment {
+                set,
+                neighbors,
+                card,
+                tree: JoinTree::join(build.tree, probe.tree),
+            });
         }
-        fragments.pop().unwrap().1
+        fragments.pop().unwrap().tree
     }
-}
-
-fn mask_to_set(mask: u32) -> BTreeSet<RelId> {
-    (0..32)
-        .filter(|i| mask & (1 << i) != 0)
-        .map(|i| RelId(i as usize))
-        .collect()
 }
 
 #[cfg(test)]

@@ -5,8 +5,7 @@
 //! sets of Theorems 4.1, 5.1 and 5.3 contain a minimum-cost plan, and (b) by
 //! the Table 2 reproduction to count the plan-space sizes.
 
-use bqo_plan::{CostModel, JoinGraph, RelId, RightDeepTree};
-use std::collections::BTreeSet;
+use bqo_plan::{CostModel, JoinGraph, RelId, RelSet, RightDeepTree};
 
 /// Enumerates every right-deep tree without cross products for the graph.
 ///
@@ -25,33 +24,38 @@ pub fn enumerate_right_deep(graph: &JoinGraph) -> Vec<RightDeepTree> {
     }
     for &first in &all {
         let mut order = vec![first];
-        let mut remaining: BTreeSet<RelId> = all.iter().copied().filter(|&r| r != first).collect();
-        extend(graph, &mut order, &mut remaining, &mut plans);
+        let mut prefix = RelSet::singleton(all.len(), first);
+        let mut remaining = RelSet::full(all.len());
+        remaining.remove(first);
+        extend(graph, &mut order, &mut prefix, &mut remaining, &mut plans);
     }
     plans
 }
 
+/// Extends `order` (whose relations are `prefix`) by every relation of
+/// `remaining` that joins the prefix, recursively.
 fn extend(
     graph: &JoinGraph,
     order: &mut Vec<RelId>,
-    remaining: &mut BTreeSet<RelId>,
+    prefix: &mut RelSet,
+    remaining: &mut RelSet,
     plans: &mut Vec<RightDeepTree>,
 ) {
     if remaining.is_empty() {
         plans.push(RightDeepTree::new(order.clone()));
         return;
     }
-    let prefix: BTreeSet<RelId> = order.iter().copied().collect();
     let candidates: Vec<RelId> = remaining
         .iter()
-        .copied()
-        .filter(|&r| graph.connects_to_set(r, &prefix))
+        .filter(|&r| graph.connects_to_set(r, prefix))
         .collect();
     for rel in candidates {
         order.push(rel);
-        remaining.remove(&rel);
-        extend(graph, order, remaining, plans);
+        prefix.insert(rel);
+        remaining.remove(rel);
+        extend(graph, order, prefix, remaining, plans);
         remaining.insert(rel);
+        prefix.remove(rel);
         order.pop();
     }
 }

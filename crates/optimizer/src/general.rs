@@ -16,8 +16,7 @@
 //! right-deep-flavoured shape the paper's plan space favours.
 
 use crate::snowflake::optimize_snowflake;
-use bqo_plan::{CostModel, JoinGraph, JoinTree, RelId};
-use std::collections::BTreeSet;
+use bqo_plan::{CostModel, JoinGraph, JoinTree, RelId, RelSet};
 
 /// Produces a bitvector-aware join tree for an arbitrary join graph.
 pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> JoinTree {
@@ -44,11 +43,12 @@ pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> Joi
     facts.sort_by(|a, b| est.base_card(*a).total_cmp(&est.base_card(*b)));
 
     // Assign every relation to the snowflake of exactly one fact.
-    let mut claimed: BTreeSet<RelId> = facts.iter().copied().collect();
-    let mut snowflakes: Vec<(RelId, BTreeSet<RelId>)> = Vec::new();
+    let mut claimed = RelSet::new(graph.num_relations());
+    claimed.extend(facts.iter().copied());
+    let mut snowflakes: Vec<(RelId, RelSet)> = Vec::new();
     for &fact in &facts {
         let members = expand_snowflake(graph, fact, &claimed);
-        claimed.extend(members.iter().copied());
+        claimed.union_with(&members);
         snowflakes.push((fact, members));
     }
     // Relations still unclaimed (not reachable through PKFK edges from any
@@ -56,12 +56,12 @@ pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> Joi
     // each to the first snowflake it is adjacent to.
     let unclaimed: Vec<RelId> = graph
         .relation_ids()
-        .filter(|r| !claimed.contains(r))
+        .filter(|&r| !claimed.contains(r))
         .collect();
     for rel in unclaimed {
         let target = snowflakes
             .iter_mut()
-            .find(|(_, members)| graph.neighbors(rel).iter().any(|n| members.contains(n)))
+            .find(|(_, members)| graph.connects_to_set(rel, members))
             .map(|(_, members)| members);
         if let Some(members) = target {
             members.insert(rel);
@@ -71,7 +71,7 @@ pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> Joi
     }
 
     // Optimize each snowflake with Algorithm 2.
-    let mut optimized: Vec<(BTreeSet<RelId>, JoinTree)> = snowflakes
+    let mut optimized: Vec<(RelSet, JoinTree)> = snowflakes
         .iter()
         .map(|(fact, members)| {
             (
@@ -101,7 +101,7 @@ pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> Joi
         } else {
             JoinTree::join(assembled, tree)
         };
-        assembled_set.extend(set);
+        assembled_set.union_with(&set);
     }
     assembled
 }
@@ -109,16 +109,16 @@ pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> Joi
 /// Expands a fact table into its snowflake: follow PKFK edges pointing away
 /// from the already-included relations, never claiming another fact table or
 /// a relation already claimed by an earlier snowflake.
-fn expand_snowflake(graph: &JoinGraph, fact: RelId, claimed: &BTreeSet<RelId>) -> BTreeSet<RelId> {
-    let mut members: BTreeSet<RelId> = [fact].into_iter().collect();
+fn expand_snowflake(graph: &JoinGraph, fact: RelId, claimed: &RelSet) -> RelSet {
+    let mut members = RelSet::singleton(graph.num_relations(), fact);
     let mut frontier = vec![fact];
     while let Some(current) = frontier.pop() {
         for edge in graph.edges_of(current) {
             let other = edge.other(current);
-            if members.contains(&other) {
+            if members.contains(other) {
                 continue;
             }
-            if claimed.contains(&other) && other != fact {
+            if claimed.contains(other) && other != fact {
                 continue;
             }
             // Follow the edge only if it points outwards (the join column is
@@ -216,12 +216,12 @@ mod tests {
         let f1 = g.relation_by_name("f1").unwrap();
         let shared = g.relation_by_name("shared_dim").unwrap();
         let d2 = g.relation_by_name("f2_dim").unwrap();
-        let claimed: BTreeSet<RelId> = [f1, f2].into_iter().collect();
+        let claimed: RelSet = [f1, f2].into_iter().collect();
         let members = expand_snowflake(&g, f2, &claimed);
-        assert!(members.contains(&f2));
-        assert!(members.contains(&shared));
-        assert!(members.contains(&d2));
-        assert!(!members.contains(&f1));
+        assert!(members.contains(f2));
+        assert!(members.contains(shared));
+        assert!(members.contains(d2));
+        assert!(!members.contains(f1));
     }
 
     #[test]

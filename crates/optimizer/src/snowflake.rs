@@ -23,8 +23,7 @@
 //! Within a group, branches are ordered by how strongly they reduce the fact
 //! table (most selective first).
 
-use bqo_plan::{CostModel, JoinGraph, JoinTree, RelId};
-use std::collections::BTreeSet;
+use bqo_plan::{CostModel, JoinGraph, JoinTree, RelId, RelSet};
 
 /// The priority group a branch falls into (Section 6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -75,7 +74,7 @@ impl BranchInfo {
 pub fn analyze_branches(
     graph: &JoinGraph,
     cost_model: &CostModel<'_>,
-    subset: &BTreeSet<RelId>,
+    subset: &RelSet,
     fact: RelId,
 ) -> Vec<BranchInfo> {
     let est = cost_model.estimator();
@@ -85,7 +84,7 @@ pub fn analyze_branches(
         let members_in_subset: Vec<RelId> = component
             .iter()
             .copied()
-            .filter(|r| subset.contains(r))
+            .filter(|&r| subset.contains(r))
             .collect();
         if members_in_subset.is_empty() {
             continue;
@@ -101,7 +100,7 @@ pub fn analyze_branches(
             continue;
         }
         let ordered = connected_order(graph, &members_in_subset, &fact_neighbors);
-        let set: BTreeSet<RelId> = ordered.iter().copied().collect();
+        let set: RelSet = ordered.iter().copied().collect();
         let keep = est.semijoin_keep_fraction(fact, &set);
         let has_pkfk_to_fact = fact_neighbors.iter().any(|&r| graph.points_to(fact, r));
         let larger_than_fact = ordered.iter().any(|&r| est.base_card(r) > fact_rows);
@@ -130,9 +129,9 @@ pub fn analyze_branches(
 /// every later relation joins an earlier one (a "partially ordered" prefix in
 /// the paper's terminology).
 fn connected_order(graph: &JoinGraph, members: &[RelId], fact_neighbors: &[RelId]) -> Vec<RelId> {
-    let member_set: BTreeSet<RelId> = members.iter().copied().collect();
+    let member_set: RelSet = members.iter().copied().collect();
     let mut order = Vec::with_capacity(members.len());
-    let mut placed: BTreeSet<RelId> = BTreeSet::new();
+    let mut placed = RelSet::new(graph.num_relations());
     let mut frontier: Vec<RelId> = fact_neighbors.to_vec();
     while let Some(next) = frontier.pop() {
         if !placed.insert(next) {
@@ -140,7 +139,7 @@ fn connected_order(graph: &JoinGraph, members: &[RelId], fact_neighbors: &[RelId
         }
         order.push(next);
         for n in graph.neighbors(next) {
-            if member_set.contains(&n) && !placed.contains(&n) {
+            if member_set.contains(n) && !placed.contains(n) {
                 frontier.push(n);
             }
         }
@@ -148,7 +147,7 @@ fn connected_order(graph: &JoinGraph, members: &[RelId], fact_neighbors: &[RelId
     // Any disconnected leftovers (cannot happen for true components) keep
     // their original order at the end.
     for &m in members {
-        if !placed.contains(&m) {
+        if !placed.contains(m) {
             order.push(m);
         }
     }
@@ -158,7 +157,7 @@ fn connected_order(graph: &JoinGraph, members: &[RelId], fact_neighbors: &[RelId
 /// True when the branch is a chain: exactly one relation joins the fact, and
 /// the branch's internal graph is a path starting there.
 fn is_chain_branch(graph: &JoinGraph, ordered: &[RelId], fact: RelId) -> bool {
-    let set: BTreeSet<RelId> = ordered.iter().copied().collect();
+    let set: RelSet = ordered.iter().copied().collect();
     let roots: Vec<RelId> = ordered
         .iter()
         .copied()
@@ -171,7 +170,7 @@ fn is_chain_branch(graph: &JoinGraph, ordered: &[RelId], fact: RelId) -> bool {
         let internal_degree = graph
             .neighbors(r)
             .into_iter()
-            .filter(|n| set.contains(n))
+            .filter(|&n| set.contains(n))
             .count();
         let limit = if r == roots[0] || Some(&r) == ordered.last() {
             1
@@ -206,13 +205,11 @@ fn chain_rotations(members: &[RelId]) -> Vec<Vec<RelId>> {
 /// on the probe side instead of the build side (the P3 swap of Algorithm 2,
 /// line 12–13).
 fn join_branches_onto(
-    graph: &JoinGraph,
     cost_model: &CostModel<'_>,
     fact: RelId,
     branches: &[&BranchInfo],
     mut plan: JoinTree,
 ) -> JoinTree {
-    let _ = graph;
     let est = cost_model.estimator();
     let fact_rows = est.base_card(fact);
     for branch in branches {
@@ -236,10 +233,10 @@ fn join_branches_onto(
 pub fn optimize_snowflake(
     graph: &JoinGraph,
     cost_model: &CostModel<'_>,
-    subset: &BTreeSet<RelId>,
+    subset: &RelSet,
     fact: RelId,
 ) -> JoinTree {
-    assert!(subset.contains(&fact), "subset must contain the fact table");
+    assert!(subset.contains(fact), "subset must contain the fact table");
     if subset.len() == 1 {
         return JoinTree::Leaf(fact);
     }
@@ -256,7 +253,7 @@ pub fn optimize_snowflake(
 
     // Candidate 1: fact table as the right-most leaf; all branches join onto
     // it in priority order.
-    let mut best = join_branches_onto(graph, cost_model, fact, &branch_refs, JoinTree::Leaf(fact));
+    let mut best = join_branches_onto(cost_model, fact, &branch_refs, JoinTree::Leaf(fact));
     let mut best_cost = cost_model.cout_join_tree(&best, true).total;
 
     // Candidates 2..: each branch in turn forms the bottom of the probe
@@ -290,7 +287,7 @@ pub fn optimize_snowflake(
                 .filter(|(j, _)| *j != i)
                 .map(|(_, b)| b)
                 .collect();
-            let plan = join_branches_onto(graph, cost_model, fact, &rest, plan);
+            let plan = join_branches_onto(cost_model, fact, &rest, plan);
             let cost = cost_model.cout_join_tree(&plan, true).total;
             if cost < best_cost {
                 best_cost = cost;
@@ -307,8 +304,8 @@ mod tests {
     use crate::enumerate::exhaustive_best_right_deep;
     use bqo_plan::{JoinEdge, RelationInfo};
 
-    fn full_set(graph: &JoinGraph) -> BTreeSet<RelId> {
-        graph.relation_ids().collect()
+    fn full_set(graph: &JoinGraph) -> RelSet {
+        RelSet::full(graph.num_relations())
     }
 
     /// Clean star with mixed selectivities.

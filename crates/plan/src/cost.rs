@@ -14,13 +14,33 @@
 //! Estimated cardinalities come from [`CardinalityEstimator`]; the reduction
 //! of a scan or join output by pushed-down filters uses the no-false-positive
 //! semi-join semantics of Section 3.2.
+//!
+//! # One pass per plan
+//!
+//! The BQO optimizer costs a linear number of candidate plans, so costing
+//! one plan must itself stay linear. Each plan's per-node relation sets and
+//! effective sets are derived once, bottom-up, into flat bitsets
+//! (`PlanSets`); every node's cardinality and every filter's λ then reads
+//! those sets instead of rebuilding them per node.
+//!
+//! # Bit-identical estimates
+//!
+//! A node's estimate is [`CardinalityEstimator::semi_reduced_card`] of its
+//! relation set reduced by its effective set, so it inherits the estimator's
+//! fixed multiplication order (base cardinalities in ascending [`RelId`]
+//! order, then edge selectivities in [`JoinGraph::edges`] order). `Cout`
+//! sums the node estimates in node-id order. The same plan therefore always
+//! gets the same `f64`, bit for bit, which keeps plan choice between tied
+//! candidates deterministic.
+//!
+//! [`RelId`]: crate::graph::RelId
 
 use crate::estimator::CardinalityEstimator;
-use crate::graph::{JoinGraph, RelId};
+use crate::graph::JoinGraph;
 use crate::physical::{NodeId, PhysicalNode, PhysicalPlan};
 use crate::pushdown::push_down_bitvectors;
+use crate::relset::FlatSets;
 use crate::tree::{JoinTree, RightDeepTree};
-use std::collections::{BTreeSet, HashMap};
 
 /// Per-plan cost report.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,17 +51,75 @@ pub struct CoutBreakdown {
     pub base_total: f64,
     /// Sum over join outputs.
     pub join_total: f64,
-    /// Estimated output cardinality of every operator, by node id.
+    /// Estimated output cardinality of every operator, in node-id order.
     pub per_node: Vec<(NodeId, f64)>,
 }
 
 impl CoutBreakdown {
     /// The estimated output cardinality of one operator.
     pub fn card_of(&self, node: NodeId) -> Option<f64> {
-        self.per_node
-            .iter()
-            .find(|(id, _)| *id == node)
-            .map(|(_, c)| *c)
+        self.per_node.get(node.0).map(|&(id, card)| {
+            debug_assert_eq!(id, node, "per_node is not in node-id order");
+            card
+        })
+    }
+}
+
+/// The relation set and the effective set of every node of one plan.
+///
+/// A node's *effective* set is its own relations plus (transitively) the
+/// relations standing behind every bitvector filter applied at or below it.
+/// Its estimated cardinality is the semi-join-reduced cardinality of its
+/// relation set with respect to the rest of its effective set.
+#[derive(Debug)]
+struct PlanSets {
+    /// Relation set of every node, in node order.
+    rel: FlatSets,
+    /// Effective set of every node reachable from the root; the relation set
+    /// for any other node.
+    eff: FlatSets,
+    /// For each node, the placements targeted at it whose source is a hash
+    /// join, as `(placement index, source join's build node)`.
+    sources: Vec<Vec<(usize, usize)>>,
+}
+
+impl PlanSets {
+    fn derive(graph: &JoinGraph, plan: &PhysicalPlan) -> Self {
+        let rel = plan.node_relation_sets(graph.num_relations());
+        let mut sources = vec![Vec::new(); plan.num_nodes()];
+        for (index, placement) in plan.placements.iter().enumerate() {
+            if let PhysicalNode::HashJoin { build, .. } = plan.node(placement.source_join) {
+                sources[placement.target.0].push((index, build.0));
+            }
+        }
+        let mut sets = PlanSets {
+            eff: rel.clone(),
+            rel,
+            sources,
+        };
+        let mut done = vec![false; plan.num_nodes()];
+        sets.fill_effective(plan, plan.root().0, &mut done);
+        sets
+    }
+
+    /// Computes the effective set of `node` after those it depends on: its
+    /// inputs and the build sides of the joins whose filters it receives.
+    fn fill_effective(&mut self, plan: &PhysicalPlan, node: usize, done: &mut [bool]) {
+        if done[node] {
+            return;
+        }
+        if let PhysicalNode::HashJoin { build, probe, .. } = plan.node(NodeId(node)) {
+            for input in [build.0, probe.0] {
+                self.fill_effective(plan, input, done);
+                self.eff.union_into(node, input);
+            }
+        }
+        for k in 0..self.sources[node].len() {
+            let source = self.sources[node][k].1;
+            self.fill_effective(plan, source, done);
+            self.eff.union_into(node, source);
+        }
+        done[node] = true;
     }
 }
 
@@ -91,20 +169,14 @@ impl<'a> CostModel<'a> {
     /// `Cout` of a physical plan, honouring whatever bitvector placements it
     /// carries.
     pub fn cout_physical(&self, plan: &PhysicalPlan) -> CoutBreakdown {
-        let mut eff_sets: HashMap<NodeId, BTreeSet<RelId>> = HashMap::new();
-        self.effective_set(plan, plan.root(), &mut eff_sets);
-
+        let sets = PlanSets::derive(self.graph, plan);
         let mut per_node = Vec::with_capacity(plan.num_nodes());
         let mut base_total = 0.0;
         let mut join_total = 0.0;
         for (id, node) in plan.nodes() {
-            let rel_set = plan.relation_set(id);
-            let eff = eff_sets
-                .get(&id)
-                .cloned()
-                .unwrap_or_else(|| rel_set.clone());
-            let external: BTreeSet<RelId> = eff.difference(&rel_set).copied().collect();
-            let card = self.estimator.semi_reduced_card(&rel_set, &external);
+            let card = self
+                .estimator
+                .reduced_card_words(sets.rel.get(id.0), sets.eff.get(id.0));
             per_node.push((id, card));
             match node {
                 PhysicalNode::Scan { .. } => base_total += card,
@@ -125,93 +197,56 @@ impl<'a> CostModel<'a> {
         self.cout_physical(plan).card_of(plan.root()).unwrap_or(0.0)
     }
 
-    /// Estimated fraction of rows a bitvector filter eliminates at its target
-    /// (the paper's λ used by the cost-based filter selection, Section 6.3).
-    pub fn estimated_elimination_fraction(
-        &self,
-        plan: &PhysicalPlan,
-        placement_index: usize,
-    ) -> f64 {
-        let placement = &plan.placements[placement_index];
-        let mut eff_sets: HashMap<NodeId, BTreeSet<RelId>> = HashMap::new();
-        self.effective_set(plan, plan.root(), &mut eff_sets);
-
-        // Source side: the effective relation set feeding the filter.
-        let source_set = match plan.node(placement.source_join) {
-            PhysicalNode::HashJoin { build, .. } => eff_sets
-                .get(build)
-                .cloned()
-                .unwrap_or_else(|| plan.relation_set(*build)),
-            _ => return 0.0,
-        };
-        // Target side: cardinality before this particular filter, i.e. the
-        // target's relation set reduced by every *other* filter that reaches
-        // it.
-        let target_rels = plan.relation_set(placement.target);
-        let mut other_external: BTreeSet<RelId> = BTreeSet::new();
-        for (i, p) in plan.placements.iter().enumerate() {
-            if i == placement_index || p.target != placement.target {
-                continue;
-            }
-            if let PhysicalNode::HashJoin { build, .. } = plan.node(p.source_join) {
-                let s = eff_sets
-                    .get(build)
-                    .cloned()
-                    .unwrap_or_else(|| plan.relation_set(*build));
-                other_external.extend(s.difference(&target_rels).copied());
-            }
-        }
-        let before = self
-            .estimator
-            .semi_reduced_card(&target_rels, &other_external);
-        let mut with_this: BTreeSet<RelId> = other_external.clone();
-        with_this.extend(source_set.difference(&target_rels).copied());
-        let after = self.estimator.semi_reduced_card(&target_rels, &with_this);
-        if before <= 0.0 {
-            0.0
-        } else {
-            (1.0 - after / before).clamp(0.0, 1.0)
-        }
+    /// Estimated fraction of rows each bitvector filter eliminates at its
+    /// target (the paper's λ used by the cost-based filter selection,
+    /// Section 6.3), indexed like [`PhysicalPlan::placements`].
+    ///
+    /// A filter's λ compares its target's cardinality reduced by every
+    /// *other* filter reaching that target with the cardinality once this
+    /// filter's source (the effective set of its join's build side) is added.
+    pub fn elimination_fractions(&self, plan: &PhysicalPlan) -> Vec<f64> {
+        let sets = PlanSets::derive(self.graph, plan);
+        plan.placements
+            .iter()
+            .enumerate()
+            .map(|(index, placement)| {
+                let target = placement.target.0;
+                let Some(&(_, source)) = sets.sources[target].iter().find(|(i, _)| *i == index)
+                else {
+                    // The filter is not created by a hash join.
+                    return 0.0;
+                };
+                let target_rels = sets.rel.get(target);
+                let mut full = target_rels.to_vec();
+                for &(other, build) in &sets.sources[target] {
+                    if other != index {
+                        or_into(&mut full, sets.eff.get(build));
+                    }
+                }
+                let before = self.estimator.reduced_card_words(target_rels, &full);
+                or_into(&mut full, sets.eff.get(source));
+                let after = self.estimator.reduced_card_words(target_rels, &full);
+                if before <= 0.0 {
+                    0.0
+                } else {
+                    (1.0 - after / before).clamp(0.0, 1.0)
+                }
+            })
+            .collect()
     }
+}
 
-    /// Computes, for every node, the "effective" relation set: the node's own
-    /// relations plus (transitively) the relations standing behind every
-    /// bitvector filter applied at or below it. The estimated cardinality of
-    /// the node is the semi-join-reduced cardinality of its relation set with
-    /// respect to the external part of this effective set.
-    fn effective_set(
-        &self,
-        plan: &PhysicalPlan,
-        node: NodeId,
-        memo: &mut HashMap<NodeId, BTreeSet<RelId>>,
-    ) -> BTreeSet<RelId> {
-        if let Some(set) = memo.get(&node) {
-            return set.clone();
-        }
-        let mut set: BTreeSet<RelId> = match plan.node(node) {
-            PhysicalNode::Scan { relation } => [*relation].into_iter().collect(),
-            PhysicalNode::HashJoin { build, probe, .. } => {
-                let mut s = self.effective_set(plan, *build, memo);
-                s.extend(self.effective_set(plan, *probe, memo));
-                s
-            }
-        };
-        // Filters applied at this node contribute the effective set of the
-        // source join's build side.
-        for placement in plan.placements_at(node) {
-            if let PhysicalNode::HashJoin { build, .. } = plan.node(placement.source_join) {
-                set.extend(self.effective_set(plan, *build, memo));
-            }
-        }
-        memo.insert(node, set.clone());
-        set
+/// `dst ∪= src` over two equally wide word runs.
+fn or_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{JoinEdge, JoinGraph, RelationInfo};
+    use crate::graph::{JoinEdge, JoinGraph, RelId, RelationInfo};
 
     /// Star: fact 1M rows; d1 100 rows filtered to 10; d2 1000 rows
     /// unfiltered; d3 10 rows filtered to 2.
@@ -365,20 +400,21 @@ mod tests {
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         // Find the placement sourced from the join whose build is d2 (the
         // unfiltered dimension): it eliminates (almost) nothing.
-        for (idx, p) in plan.placements.iter().enumerate() {
-            let lambda = model.estimated_elimination_fraction(&plan, idx);
+        let lambdas = model.elimination_fractions(&plan);
+        assert_eq!(lambdas.len(), plan.placements.len());
+        for (p, &lambda) in plan.placements.iter().zip(&lambdas) {
             let src_build = match plan.node(p.source_join) {
                 PhysicalNode::HashJoin { build, .. } => *build,
                 _ => unreachable!(),
             };
             let src_rels = plan.relation_set(src_build);
-            if src_rels.contains(&d[1]) {
+            if src_rels.contains(d[1]) {
                 assert!(
                     lambda < 0.05,
                     "unfiltered dim should not eliminate: {lambda}"
                 );
             }
-            if src_rels.contains(&d[2]) {
+            if src_rels.contains(d[2]) {
                 assert!(lambda > 0.5, "d3 keeps 20%, so λ should be ~0.8: {lambda}");
             }
         }

@@ -17,9 +17,21 @@
 //! For PKFK joins these formulas reproduce the paper's absorption rule
 //! (Lemma 1/3): semi-joining a fact table with all its (filtered) dimensions
 //! yields exactly the cardinality of the full join.
+//!
+//! # Bit-identical estimates
+//!
+//! Plan choice compares `f64` costs with strict `<`, so a change in the last
+//! bit of an estimate can flip which of two tied candidates wins. Every
+//! estimate is therefore a fixed sequence of floating-point operations:
+//! [`CardinalityEstimator::join_card`] multiplies the base cardinalities of
+//! the set in ascending [`RelId`] order (starting from `1.0`), then the
+//! selectivity of every edge inside the set in [`JoinGraph::edges`] order.
+//! The order never depends on how the set was built or stored, and the
+//! differential cost oracle in the integration tests checks the result
+//! bit for bit against a reference implementation.
 
 use crate::graph::{JoinGraph, RelId};
-use std::collections::BTreeSet;
+use crate::relset::{contains_in, iter_in, same_set, RelSet};
 
 /// Statistics-based cardinality estimator bound to one join graph.
 #[derive(Debug, Clone, Copy)]
@@ -49,13 +61,18 @@ impl<'a> CardinalityEstimator<'a> {
     /// for join columns. A disconnected set is estimated as a cross product
     /// (callers that enumerate plans without cross products never ask for
     /// one).
-    pub fn join_card(&self, set: &BTreeSet<RelId>) -> f64 {
-        if set.is_empty() {
+    pub fn join_card(&self, set: &RelSet) -> f64 {
+        self.join_card_words(set.words())
+    }
+
+    /// [`CardinalityEstimator::join_card`] of the set stored in `words`.
+    pub(crate) fn join_card_words(&self, words: &[u64]) -> f64 {
+        if words.iter().all(|&w| w == 0) {
             return 0.0;
         }
-        let mut card: f64 = set.iter().map(|&r| self.base_card(r)).product();
+        let mut card: f64 = iter_in(words).map(|r| self.base_card(r)).product();
         for edge in self.graph.edges() {
-            if set.contains(&edge.left) && set.contains(&edge.right) {
+            if contains_in(words, edge.left) && contains_in(words, edge.right) {
                 card *= edge.selectivity();
             }
         }
@@ -76,28 +93,27 @@ impl<'a> CardinalityEstimator<'a> {
     /// the estimate is independent of the order filters are applied in, which
     /// is what makes the paper's equal-cost lemmas hold exactly under this
     /// estimator.
-    pub fn semi_reduced_card(&self, core: &BTreeSet<RelId>, external: &BTreeSet<RelId>) -> f64 {
-        if core.is_empty() {
-            return 0.0;
-        }
-        let core_card = self.join_card(core);
-        if external.is_empty() || core_card <= 0.0 {
+    pub fn semi_reduced_card(&self, core: &RelSet, external: &RelSet) -> f64 {
+        self.reduced_card_words(core.words(), core.union(external).words())
+    }
+
+    /// [`CardinalityEstimator::semi_reduced_card`] of `core` reduced by the
+    /// relations of `full` (a superset of `core`: the core plus its external
+    /// sources).
+    pub(crate) fn reduced_card_words(&self, core: &[u64], full: &[u64]) -> f64 {
+        let core_card = self.join_card_words(core);
+        if core_card <= 0.0 || same_set(core, full) {
             return core_card;
         }
-        let mut full = core.clone();
-        full.extend(external.iter().copied());
-        if full.len() == core.len() {
-            return core_card;
-        }
-        let full_card = self.join_card(&full);
+        let full_card = self.join_card_words(full);
         core_card * (full_card / core_card).min(1.0)
     }
 
     /// Estimated fraction of `target`'s rows kept by a bitvector filter whose
     /// source is the (already reduced) set `source`. This is the paper's λ
     /// complement: `1 - λ` where λ is the eliminated fraction.
-    pub fn semijoin_keep_fraction(&self, target: RelId, source: &BTreeSet<RelId>) -> f64 {
-        let core: BTreeSet<RelId> = [target].into_iter().collect();
+    pub fn semijoin_keep_fraction(&self, target: RelId, source: &RelSet) -> f64 {
+        let core = RelSet::singleton(self.graph.num_relations(), target);
         let base = self.base_card(target);
         if base <= 0.0 {
             return 1.0;
@@ -219,7 +235,7 @@ mod tests {
         (g, vec![r0, r1, r2])
     }
 
-    fn set(ids: &[RelId]) -> BTreeSet<RelId> {
+    fn set(ids: &[RelId]) -> RelSet {
         ids.iter().copied().collect()
     }
 
@@ -263,9 +279,9 @@ mod tests {
     fn empty_set_has_zero_card() {
         let (g, _, _) = star();
         let est = CardinalityEstimator::new(&g);
-        assert_eq!(est.join_card(&BTreeSet::new()), 0.0);
+        assert_eq!(est.join_card(&RelSet::default()), 0.0);
         assert_eq!(
-            est.semi_reduced_card(&BTreeSet::new(), &BTreeSet::new()),
+            est.semi_reduced_card(&RelSet::default(), &RelSet::default()),
             0.0
         );
     }

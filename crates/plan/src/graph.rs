@@ -1,7 +1,7 @@
 //! The join graph: relations, equi-join edges and PKFK metadata.
 
 use crate::predicate::ColumnPredicate;
-use std::collections::BTreeSet;
+use crate::relset::RelSet;
 use std::fmt;
 
 /// Identifier of a relation inside one [`JoinGraph`] (dense index).
@@ -354,47 +354,58 @@ impl JoinGraph {
         out
     }
 
+    /// The neighbouring relations of `rel` as a set.
+    pub fn neighbor_set(&self, rel: RelId) -> RelSet {
+        let mut set = RelSet::new(self.num_relations());
+        for &i in &self.adjacency[rel.0] {
+            set.insert(self.edges[i].other(rel));
+        }
+        set
+    }
+
     /// True if `rel` joins with at least one relation in `set`.
-    pub fn connects_to_set(&self, rel: RelId, set: &BTreeSet<RelId>) -> bool {
+    pub fn connects_to_set(&self, rel: RelId, set: &RelSet) -> bool {
         self.adjacency[rel.0]
             .iter()
-            .any(|&i| set.contains(&self.edges[i].other(rel)))
+            .any(|&i| set.contains(self.edges[i].other(rel)))
     }
 
     /// Relations of `set` that `rel` joins with.
-    pub fn neighbors_in_set(&self, rel: RelId, set: &BTreeSet<RelId>) -> BTreeSet<RelId> {
-        self.adjacency[rel.0]
-            .iter()
-            .map(|&i| self.edges[i].other(rel))
-            .filter(|r| set.contains(r))
-            .collect()
+    pub fn neighbors_in_set(&self, rel: RelId, set: &RelSet) -> RelSet {
+        let mut out = RelSet::new(self.num_relations());
+        for &i in &self.adjacency[rel.0] {
+            let other = self.edges[i].other(rel);
+            if set.contains(other) {
+                out.insert(other);
+            }
+        }
+        out
     }
 
-    /// Edges with exactly one endpoint in `a` and the other in `b`.
-    pub fn edges_across(&self, a: &BTreeSet<RelId>, b: &BTreeSet<RelId>) -> Vec<&JoinEdge> {
+    /// Edges with exactly one endpoint in `a` and the other in `b`, in
+    /// [`JoinGraph::edges`] order.
+    pub fn edges_across(&self, a: &RelSet, b: &RelSet) -> Vec<&JoinEdge> {
         self.edges
             .iter()
             .filter(|e| {
-                (a.contains(&e.left) && b.contains(&e.right))
-                    || (a.contains(&e.right) && b.contains(&e.left))
+                (a.contains(e.left) && b.contains(e.right))
+                    || (a.contains(e.right) && b.contains(e.left))
             })
             .collect()
     }
 
     /// True if the induced subgraph on `set` is connected (singletons and the
     /// empty set count as connected).
-    pub fn is_connected_subset(&self, set: &BTreeSet<RelId>) -> bool {
-        if set.len() <= 1 {
+    pub fn is_connected_subset(&self, set: &RelSet) -> bool {
+        let Some(start) = set.first() else {
             return true;
-        }
-        let start = *set.iter().next().unwrap();
-        let mut visited = BTreeSet::new();
+        };
+        let mut visited = RelSet::singleton(self.num_relations(), start);
         let mut stack = vec![start];
-        visited.insert(start);
         while let Some(r) = stack.pop() {
             for edge in self.edges_of(r) {
                 let o = edge.other(r);
-                if set.contains(&o) && visited.insert(o) {
+                if set.contains(o) && visited.insert(o) {
                     stack.push(o);
                 }
             }
@@ -404,24 +415,23 @@ impl JoinGraph {
 
     /// True if the whole graph is connected.
     pub fn is_connected(&self) -> bool {
-        let all: BTreeSet<RelId> = self.relation_ids().collect();
-        self.is_connected_subset(&all)
+        self.is_connected_subset(&RelSet::full(self.num_relations()))
     }
 
     /// Connected components of the graph with `excluded` removed.
     pub fn components_excluding(&self, excluded: RelId) -> Vec<Vec<RelId>> {
-        let mut remaining: BTreeSet<RelId> =
-            self.relation_ids().filter(|&r| r != excluded).collect();
+        let mut remaining = RelSet::full(self.num_relations());
+        remaining.remove(excluded);
         let mut components = Vec::new();
-        while let Some(&start) = remaining.iter().next() {
+        while let Some(start) = remaining.first() {
             let mut component = Vec::new();
             let mut stack = vec![start];
-            remaining.remove(&start);
+            remaining.remove(start);
             while let Some(r) = stack.pop() {
                 component.push(r);
                 for edge in self.edges_of(r) {
                     let o = edge.other(r);
-                    if o != excluded && remaining.remove(&o) {
+                    if o != excluded && remaining.remove(o) {
                         stack.push(o);
                     }
                 }
@@ -521,7 +531,7 @@ impl JoinGraph {
     /// `R_{i,1}, ..., R_{i,n_i}` starting at the relation adjacent to the
     /// fact. Returns `None` if the component is not a valid snowflake branch.
     fn order_branch(&self, fact: RelId, component: &[RelId]) -> Option<Vec<RelId>> {
-        let set: BTreeSet<RelId> = component.iter().copied().collect();
+        let set: RelSet = component.iter().copied().collect();
         // Exactly one relation of the branch joins the fact, and the fact
         // must point to it.
         let roots: Vec<RelId> = component
@@ -539,7 +549,7 @@ impl JoinGraph {
             let next: Vec<RelId> = self
                 .neighbors(current)
                 .into_iter()
-                .filter(|&n| set.contains(&n) && Some(n) != prev)
+                .filter(|&n| set.contains(n) && Some(n) != prev)
                 .collect();
             match next.len() {
                 0 => break,
@@ -610,6 +620,7 @@ impl JoinGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     /// fact(1M) -> d1(100), d2(1000), d3(10)
     fn star() -> (JoinGraph, RelId, Vec<RelId>) {
@@ -681,12 +692,11 @@ mod tests {
     fn connectivity() {
         let (g, fact, dims) = star();
         assert!(g.is_connected());
-        let sub: BTreeSet<RelId> = [fact, dims[0]].into_iter().collect();
+        let sub: RelSet = [fact, dims[0]].into_iter().collect();
         assert!(g.is_connected_subset(&sub));
-        let disconnected: BTreeSet<RelId> = [dims[0], dims[1]].into_iter().collect();
+        let disconnected: RelSet = [dims[0], dims[1]].into_iter().collect();
         assert!(!g.is_connected_subset(&disconnected));
-        let empty = BTreeSet::new();
-        assert!(g.is_connected_subset(&empty));
+        assert!(g.is_connected_subset(&RelSet::default()));
     }
 
     #[test]
@@ -815,19 +825,21 @@ mod tests {
     #[test]
     fn edges_across_sets() {
         let (g, fact, dims) = star();
-        let left: BTreeSet<RelId> = [fact].into_iter().collect();
-        let right: BTreeSet<RelId> = [dims[0], dims[1]].into_iter().collect();
+        let left: RelSet = [fact].into_iter().collect();
+        let right: RelSet = [dims[0], dims[1]].into_iter().collect();
         assert_eq!(g.edges_across(&left, &right).len(), 2);
-        let none: BTreeSet<RelId> = [dims[2]].into_iter().collect();
+        let none: RelSet = [dims[2]].into_iter().collect();
         assert_eq!(g.edges_across(&right, &none).len(), 0);
     }
 
     #[test]
     fn neighbors_in_set() {
         let (g, fact, dims) = star();
-        let set: BTreeSet<RelId> = [dims[0], dims[2]].into_iter().collect();
+        let set: RelSet = [dims[0], dims[2]].into_iter().collect();
         let n = g.neighbors_in_set(fact, &set);
         assert_eq!(n, set);
         assert!(g.neighbors_in_set(dims[0], &set).is_empty());
+        assert_eq!(g.neighbor_set(dims[0]), [fact].into_iter().collect());
+        assert_eq!(g.neighbor_set(fact).len(), 3);
     }
 }

@@ -3,6 +3,8 @@
 //!
 //! This crate is the analytical heart of the reproduction. It contains:
 //!
+//! * [`relset`] — [`RelSet`], the bitset every relation set in the planner
+//!   uses (one `u64` word per 64 relations, no relation limit).
 //! * [`graph`] — the join-graph model ([`JoinGraph`], [`RelationInfo`],
 //!   [`JoinEdge`]) with PKFK metadata and shape classification
 //!   (star / snowflake / branch / general, fact-table detection).
@@ -36,6 +38,7 @@ pub mod graph;
 pub mod physical;
 pub mod predicate;
 pub mod pushdown;
+pub mod relset;
 pub mod tree;
 pub mod unparse;
 
@@ -50,4 +53,5 @@ pub use physical::{
 };
 pub use predicate::{ColumnPredicate, CompareOp, Params, PredicateValue};
 pub use pushdown::push_down_bitvectors;
+pub use relset::RelSet;
 pub use tree::{JoinTree, RightDeepTree};

@@ -6,8 +6,8 @@
 //! directly; the cost model in [`crate::cost`] estimates `Cout` over it.
 
 use crate::graph::{JoinGraph, RelId};
+use crate::relset::{contains_in, FlatSets, RelSet};
 use crate::tree::JoinTree;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a node inside one [`PhysicalPlan`] arena.
@@ -86,6 +86,10 @@ pub struct BitvectorPlacement {
 }
 
 /// A physical plan: an operator arena, its root, and bitvector placements.
+///
+/// A join's inputs always precede it in the arena (node ids are handed out
+/// by [`PhysicalPlan::add_node`], so a join can only name nodes that exist),
+/// which lets per-node sets be derived in one pass in node order.
 #[derive(Debug, Clone, Default)]
 pub struct PhysicalPlan {
     nodes: Vec<PhysicalNode>,
@@ -144,15 +148,54 @@ impl PhysicalPlan {
     }
 
     /// The set of base relations under a node.
-    pub fn relation_set(&self, id: NodeId) -> BTreeSet<RelId> {
+    pub fn relation_set(&self, id: NodeId) -> RelSet {
+        let mut set = RelSet::default();
+        self.collect_relations(id, &mut set);
+        set
+    }
+
+    fn collect_relations(&self, id: NodeId, out: &mut RelSet) {
         match self.node(id) {
-            PhysicalNode::Scan { relation } => [*relation].into_iter().collect(),
+            PhysicalNode::Scan { relation } => {
+                out.insert(*relation);
+            }
             PhysicalNode::HashJoin { build, probe, .. } => {
-                let mut set = self.relation_set(*build);
-                set.extend(self.relation_set(*probe));
-                set
+                self.collect_relations(*build, out);
+                self.collect_relations(*probe, out);
             }
         }
+    }
+
+    /// The relation set of every node, derived in one pass in node order
+    /// (index `i` holds node `i`'s set), each sized for `num_relations` (or
+    /// wider if the plan scans a relation past that).
+    ///
+    /// # Panics
+    /// Panics if a join precedes one of its inputs in the arena.
+    pub(crate) fn node_relation_sets(&self, num_relations: usize) -> FlatSets {
+        let width = self
+            .nodes
+            .iter()
+            .filter_map(|node| match node {
+                PhysicalNode::Scan { relation } => Some(relation.0 + 1),
+                PhysicalNode::HashJoin { .. } => None,
+            })
+            .fold(num_relations, usize::max);
+        let mut sets = FlatSets::new(self.nodes.len(), width);
+        for (i, node) in self.nodes.iter().enumerate() {
+            match node {
+                PhysicalNode::Scan { relation } => sets.insert(i, *relation),
+                PhysicalNode::HashJoin { build, probe, .. } => {
+                    assert!(
+                        build.0 < i && probe.0 < i,
+                        "join op{i} precedes one of its inputs in the plan arena"
+                    );
+                    sets.union_into(i, build.0);
+                    sets.union_into(i, probe.0);
+                }
+            }
+        }
+        sets
     }
 
     /// Placements targeted at a given node.
@@ -264,24 +307,43 @@ impl PhysicalPlan {
     /// its inputs); plans enumerated without cross products never hit this.
     pub fn from_join_tree(graph: &JoinGraph, tree: &JoinTree) -> Self {
         let mut plan = PhysicalPlan::new();
-        let root = plan.build_node(graph, tree);
+        // Sized for the graph, or wider if the tree names a relation past it.
+        let width = tree
+            .relation_set()
+            .iter()
+            .last()
+            .map_or(0, |r| r.0 + 1)
+            .max(graph.num_relations());
+        let mut sets = FlatSets::new(0, width);
+        let root = plan.build_node(graph, tree, &mut sets);
         plan.set_root(root);
         plan
     }
 
-    fn build_node(&mut self, graph: &JoinGraph, tree: &JoinTree) -> NodeId {
+    /// Adds the nodes of `tree`, keeping `sets` (node id → relation set) in
+    /// step with the arena so each join reads its inputs' sets instead of
+    /// recomputing them.
+    fn build_node(&mut self, graph: &JoinGraph, tree: &JoinTree, sets: &mut FlatSets) -> NodeId {
         match tree {
-            JoinTree::Leaf(rel) => self.add_node(PhysicalNode::Scan { relation: *rel }),
+            JoinTree::Leaf(rel) => {
+                let id = self.add_node(PhysicalNode::Scan { relation: *rel });
+                sets.push_empty();
+                sets.insert(id.0, *rel);
+                id
+            }
             JoinTree::Join { build, probe } => {
-                let build_set = build.relation_set();
-                let probe_set = probe.relation_set();
-                let build_id = self.build_node(graph, build);
-                let probe_id = self.build_node(graph, probe);
+                let build_id = self.build_node(graph, build, sets);
+                let probe_id = self.build_node(graph, probe, sets);
+                let (build_set, probe_set) = (sets.get(build_id.0), sets.get(probe_id.0));
                 let keys: Vec<JoinKeyPair> = graph
-                    .edges_across(&build_set, &probe_set)
-                    .into_iter()
+                    .edges()
+                    .iter()
+                    .filter(|e| {
+                        (contains_in(build_set, e.left) && contains_in(probe_set, e.right))
+                            || (contains_in(build_set, e.right) && contains_in(probe_set, e.left))
+                    })
                     .map(|edge| {
-                        let (build_rel, probe_rel) = if build_set.contains(&edge.left) {
+                        let (build_rel, probe_rel) = if contains_in(build_set, edge.left) {
                             (edge.left, edge.right)
                         } else {
                             (edge.right, edge.left)
@@ -294,13 +356,19 @@ impl PhysicalPlan {
                     .collect();
                 assert!(
                     !keys.is_empty(),
-                    "join between {build_set:?} and {probe_set:?} is a cross product"
+                    "join between {:?} and {:?} is a cross product",
+                    sets.to_set(build_id.0),
+                    sets.to_set(probe_id.0)
                 );
-                self.add_node(PhysicalNode::HashJoin {
+                let id = self.add_node(PhysicalNode::HashJoin {
                     build: build_id,
                     probe: probe_id,
                     keys,
-                })
+                });
+                sets.push_empty();
+                sets.union_into(id.0, build_id.0);
+                sets.union_into(id.0, probe_id.0);
+                id
             }
         }
     }

@@ -14,9 +14,9 @@
 //! executor applies them at run time and the cost model uses them to compute
 //! the bitvector-aware `Cout`.
 
-use crate::graph::{JoinGraph, RelId};
+use crate::graph::JoinGraph;
 use crate::physical::{BitvectorPlacement, ColumnRef, NodeId, PhysicalNode, PhysicalPlan};
-use std::collections::BTreeSet;
+use crate::relset::{contains_in, FlatSets};
 
 /// A filter travelling down the plan during push-down.
 #[derive(Debug, Clone)]
@@ -27,24 +27,31 @@ struct PendingFilter {
 }
 
 impl PendingFilter {
-    /// Relations referenced by the filter's probe-side columns.
-    fn referenced(&self) -> BTreeSet<RelId> {
-        self.probe_columns.iter().map(|c| c.relation).collect()
+    /// True if every relation the filter's probe-side columns reference is
+    /// in `set` (the words of one node's relation set).
+    fn references_only(&self, set: &[u64]) -> bool {
+        self.probe_columns
+            .iter()
+            .all(|c| contains_in(set, c.relation))
     }
 }
 
 /// Runs Algorithm 1 on a physical plan, returning the same plan with
 /// `placements` populated. Any placements already present are replaced.
-pub fn push_down_bitvectors(_graph: &JoinGraph, mut plan: PhysicalPlan) -> PhysicalPlan {
+/// `graph` sizes the per-node relation sets, which are derived once for the
+/// whole plan.
+pub fn push_down_bitvectors(graph: &JoinGraph, mut plan: PhysicalPlan) -> PhysicalPlan {
     let mut placements = Vec::new();
     let root = plan.root();
-    push_down_node(&plan, root, Vec::new(), &mut placements);
+    let sets = plan.node_relation_sets(graph.num_relations());
+    push_down_node(&plan, &sets, root, Vec::new(), &mut placements);
     plan.placements = placements;
     plan
 }
 
 fn push_down_node(
     plan: &PhysicalPlan,
+    sets: &FlatSets,
     node: NodeId,
     incoming: Vec<PendingFilter>,
     out: &mut Vec<BitvectorPlacement>,
@@ -62,8 +69,8 @@ fn push_down_node(
             }
         }
         PhysicalNode::HashJoin { build, probe, keys } => {
-            let build_set = plan.relation_set(*build);
-            let probe_set = plan.relation_set(*probe);
+            let build_set = sets.get(build.0);
+            let probe_set = sets.get(probe.0);
 
             let mut to_build: Vec<PendingFilter> = Vec::new();
             let mut to_probe: Vec<PendingFilter> = Vec::new();
@@ -78,9 +85,8 @@ fn push_down_node(
 
             // Route the incoming filters (line 12-23).
             for f in incoming {
-                let referenced = f.referenced();
-                let in_build = referenced.is_subset(&build_set);
-                let in_probe = referenced.is_subset(&probe_set);
+                let in_build = f.references_only(build_set);
+                let in_probe = f.references_only(probe_set);
                 match (in_build, in_probe) {
                     (true, false) => to_build.push(f),
                     (false, true) => to_probe.push(f),
@@ -95,8 +101,8 @@ fn push_down_node(
                 }
             }
 
-            push_down_node(plan, *build, to_build, out);
-            push_down_node(plan, *probe, to_probe, out);
+            push_down_node(plan, sets, *build, to_build, out);
+            push_down_node(plan, sets, *probe, to_probe, out);
         }
     }
 }
@@ -104,8 +110,9 @@ fn push_down_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{JoinEdge, JoinGraph, RelationInfo};
+    use crate::graph::{JoinEdge, JoinGraph, RelId, RelationInfo};
     use crate::tree::{JoinTree, RightDeepTree};
+    use std::collections::BTreeSet;
 
     fn scan_of(plan: &PhysicalPlan, rel: RelId) -> NodeId {
         plan.nodes()

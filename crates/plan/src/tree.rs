@@ -11,7 +11,7 @@
 //! dynamic-programming optimizer (it can be left-deep, right-deep or bushy).
 
 use crate::graph::{JoinGraph, RelId};
-use std::collections::BTreeSet;
+use crate::relset::RelSet;
 use std::fmt;
 
 /// A right-deep tree in the paper's `T(X_0, ..., X_n)` notation.
@@ -30,7 +30,7 @@ impl RightDeepTree {
             !order.is_empty(),
             "a plan must contain at least one relation"
         );
-        let distinct: BTreeSet<RelId> = order.iter().copied().collect();
+        let distinct: RelSet = order.iter().copied().collect();
         assert_eq!(
             distinct.len(),
             order.len(),
@@ -65,7 +65,7 @@ impl RightDeepTree {
     }
 
     /// The set of relations in the plan.
-    pub fn relation_set(&self) -> BTreeSet<RelId> {
+    pub fn relation_set(&self) -> RelSet {
         self.order.iter().copied().collect()
     }
 
@@ -73,8 +73,7 @@ impl RightDeepTree {
     /// graph: every build relation `X_i` (i >= 1) must join with at least one
     /// relation in the prefix `{X_0, ..., X_{i-1}}`.
     pub fn has_no_cross_products(&self, graph: &JoinGraph) -> bool {
-        let mut prefix: BTreeSet<RelId> = BTreeSet::new();
-        prefix.insert(self.order[0]);
+        let mut prefix = RelSet::singleton(graph.num_relations(), self.order[0]);
         for &rel in &self.order[1..] {
             if !graph.connects_to_set(rel, &prefix) {
                 return false;
@@ -133,13 +132,13 @@ impl JoinTree {
     }
 
     /// All relations in the subtree.
-    pub fn relation_set(&self) -> BTreeSet<RelId> {
-        let mut out = BTreeSet::new();
+    pub fn relation_set(&self) -> RelSet {
+        let mut out = RelSet::default();
         self.collect_relations(&mut out);
         out
     }
 
-    fn collect_relations(&self, out: &mut BTreeSet<RelId>) {
+    fn collect_relations(&self, out: &mut RelSet) {
         match self {
             JoinTree::Leaf(r) => {
                 out.insert(*r);
@@ -221,14 +220,22 @@ impl JoinTree {
     /// Checks that no join in the tree is a cross product with respect to the
     /// join graph (each join's two input relation sets must share an edge).
     pub fn has_no_cross_products(&self, graph: &JoinGraph) -> bool {
+        self.cross_product_free_set(graph).is_some()
+    }
+
+    /// The subtree's relations, or `None` if some join in it is a cross
+    /// product.
+    fn cross_product_free_set(&self, graph: &JoinGraph) -> Option<RelSet> {
         match self {
-            JoinTree::Leaf(_) => true,
+            JoinTree::Leaf(r) => Some(RelSet::singleton(graph.num_relations(), *r)),
             JoinTree::Join { build, probe } => {
-                let b = build.relation_set();
-                let p = probe.relation_set();
-                !graph.edges_across(&b, &p).is_empty()
-                    && build.has_no_cross_products(graph)
-                    && probe.has_no_cross_products(graph)
+                let mut b = build.cross_product_free_set(graph)?;
+                let p = probe.cross_product_free_set(graph)?;
+                if graph.edges_across(&b, &p).is_empty() {
+                    return None;
+                }
+                b.union_with(&p);
+                Some(b)
             }
         }
     }

@@ -74,9 +74,7 @@ fn estimated_lambda_tracks_observed_elimination() {
         .result;
     let observed = result.metrics.filter_stats.elimination_rate();
 
-    let estimates: Vec<f64> = (0..prepared.plan().placements.len())
-        .map(|i| model.estimated_elimination_fraction(prepared.plan(), i))
-        .collect();
+    let estimates: Vec<f64> = model.elimination_fractions(prepared.plan());
     let max_estimate = estimates.iter().cloned().fold(0.0f64, f64::max);
     // The strongest filter's estimate should be in the same ballpark as the
     // overall observed elimination (both are dominated by the selective
@@ -152,7 +150,7 @@ fn placements_are_structurally_valid_across_workload_plans() {
                 // The filter's probe columns must belong to the target.
                 for col in &placement.probe_columns {
                     assert!(
-                        target_rels.contains(&col.relation),
+                        target_rels.contains(col.relation),
                         "{}: filter column outside its target",
                         query.name
                     );
