@@ -3,7 +3,7 @@
 
 use bqo_core::experiment::{run_workload, ExperimentOptions};
 use bqo_core::workloads::{job_like, Scale};
-use bqo_core::{Engine, OptimizerChoice};
+use bqo_core::{Engine, OptimizerChoice, RunOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -26,10 +26,26 @@ fn bench_fig10(c: &mut Criterion) {
         let baseline = engine.prepare(query, OptimizerChoice::Baseline).unwrap();
         let bqo = engine.prepare(query, OptimizerChoice::Bqo).unwrap();
         group.bench_with_input(BenchmarkId::new("original", name), query, |b, _| {
-            b.iter(|| black_box(session.run(&baseline).unwrap().output_rows))
+            b.iter(|| {
+                black_box(
+                    session
+                        .execute(&baseline, RunOptions::new())
+                        .unwrap()
+                        .result
+                        .output_rows,
+                )
+            })
         });
         group.bench_with_input(BenchmarkId::new("bqo", name), query, |b, _| {
-            b.iter(|| black_box(session.run(&bqo).unwrap().output_rows))
+            b.iter(|| {
+                black_box(
+                    session
+                        .execute(&bqo, RunOptions::new())
+                        .unwrap()
+                        .result
+                        .output_rows,
+                )
+            })
         });
     }
     group.finish();

@@ -3,7 +3,7 @@
 //! optimizer is skipped; binding only re-derives selectivities and fetches
 //! the cached plan).
 
-use bqo_bench::prelude::{CacheStatus, Engine, ExecConfig, OptimizerChoice, Params};
+use bqo_bench::prelude::{CacheStatus, Engine, ExecConfig, OptimizerChoice, Params, RunOptions};
 use bqo_core::workloads::{star, Scale};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -51,7 +51,13 @@ fn bench_plan_cache(c: &mut Criterion) {
             let stmt = engine
                 .bind(&template, &params(3), OptimizerChoice::Bqo)
                 .unwrap();
-            black_box(session.run(&stmt).unwrap().output_rows)
+            black_box(
+                session
+                    .execute(&stmt, RunOptions::new())
+                    .unwrap()
+                    .result
+                    .output_rows,
+            )
         })
     });
     group.finish();

@@ -1,26 +1,15 @@
-//! Probe throughput — scalar row-at-a-time versus vectorized word-level
-//! probe kernels (ISSUE 8 tentpole).
+//! Probe throughput — a row-at-a-time `maybe_contains` loop versus the
+//! word-level `probe_words` path the operators run.
 //!
-//! Two levels:
-//!
-//! * **kernel**: one key column probed against each filter shape (dense
-//!   bitmap, sparse-fallback bitmap, exact set, Bloom, blocked Bloom) with
-//!   the scalar `maybe_contains` loop and with `probe_words` (64 keys per
-//!   survivor word). Survivor counts are asserted identical first.
-//! * **end-to-end**: the star workload's BQO plans executed under
-//!   `KernelMode::Scalar` and `KernelMode::Vectorized` (single-threaded,
-//!   unbatched, so the kernel shape is the only variable), with rows and
-//!   filter counters asserted identical.
-//!
-//! The acceptance target is ≥2x rows/sec on the scan+probe kernel path at
-//! scale 0.1; `cargo run -p bqo-bench --bin reproduce --release --
+//! One key column is probed against each filter shape (dense bitmap, exact
+//! set, Bloom, blocked Bloom) both ways, 64 keys per survivor word on the
+//! word-level side. Survivor counts are asserted identical before either
+//! shape is timed. The executor has a single probe path, so there is no
+//! end-to-end arm; `cargo run -p bqo-bench --bin reproduce --release --
 //! probe_throughput` prints the measured table and writes
 //! `BENCH_probe.json`.
 
 use bqo_core::bitvector::{AnyFilter, BitvectorFilter, FilterKind};
-use bqo_core::exec::{ExecConfig, KernelMode};
-use bqo_core::workloads::{star, Scale};
-use bqo_core::{Engine, OptimizerChoice, RunOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -97,49 +86,5 @@ fn bench_probe_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_end_to_end(c: &mut Criterion) {
-    let workload = star::generate(Scale(0.1), 4, 4, 11);
-    let engine = Engine::from_catalog(workload.catalog.clone());
-    let session = engine.session();
-    let prepared: Vec<_> = workload
-        .queries
-        .iter()
-        .map(|q| engine.prepare(q, OptimizerChoice::Bqo).unwrap())
-        .collect();
-    let base = ExecConfig::default()
-        .with_batch_size(usize::MAX)
-        .with_num_threads(1);
-
-    let run_all = |config: ExecConfig| -> (u64, u64) {
-        prepared
-            .iter()
-            .map(|p| {
-                let out = session
-                    .execute(p, RunOptions::new().with_exec_config(config))
-                    .unwrap();
-                (
-                    out.result.output_rows,
-                    out.result.metrics.filter_stats.probed,
-                )
-            })
-            .fold((0, 0), |(r, p), (dr, dp)| (r + dr, p + dp))
-    };
-
-    let scalar = run_all(base.with_kernel_mode(KernelMode::Scalar));
-    let vectorized = run_all(base.with_kernel_mode(KernelMode::Vectorized));
-    assert_eq!(scalar, vectorized, "kernel modes must agree bit for bit");
-
-    let mut group = c.benchmark_group("fig_probe_throughput/end_to_end");
-    group.sample_size(10);
-    for (label, mode) in [
-        ("scalar", KernelMode::Scalar),
-        ("vectorized", KernelMode::Vectorized),
-    ] {
-        let config = base.with_kernel_mode(mode);
-        group.bench_function(label, |b| b.iter(|| black_box(run_all(config))));
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_probe_kernels, bench_end_to_end);
+criterion_group!(benches, bench_probe_kernels);
 criterion_main!(benches);

@@ -11,7 +11,7 @@
 
 use bqo_core::exec::ExecConfig;
 use bqo_core::workloads::{star, Scale};
-use bqo_core::{Engine, OptimizerChoice, Request, Server, ServerConfig};
+use bqo_core::{Engine, OptimizerChoice, Request, RunOptions, Server, ServerConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -50,8 +50,9 @@ fn bench_serving_throughput(c: &mut Criterion) {
         let rows: u64 = (0..REQUESTS)
             .map(|i| {
                 session
-                    .run(&prepared[i % prepared.len()])
+                    .execute(&prepared[i % prepared.len()], RunOptions::new())
                     .unwrap()
+                    .result
                     .output_rows
             })
             .sum();
@@ -65,8 +66,9 @@ fn bench_serving_throughput(c: &mut Criterion) {
                     (0..REQUESTS)
                         .map(|i| {
                             session
-                                .run(&prepared[i % prepared.len()])
+                                .execute(&prepared[i % prepared.len()], RunOptions::new())
                                 .unwrap()
+                                .result
                                 .output_rows
                         })
                         .sum::<u64>(),

@@ -13,8 +13,9 @@
 //! `all`.
 //!
 //! `probe_throughput` additionally writes the machine-readable
-//! `BENCH_probe.json` (rows/sec per kernel, scalar vs vectorized) next to
-//! `EXPERIMENTS.md` so later PRs have a perf trajectory to regress against.
+//! `BENCH_probe.json` (rows/sec per filter shape, `maybe_contains` loop vs
+//! `probe_words`, with scale and host) next to `EXPERIMENTS.md` so later
+//! PRs have a perf trajectory to regress against.
 //! `storage_scan` likewise writes `BENCH_storage.json`: it serializes the
 //! TPC-DS-like tables to `.bqo` files (run with `BQO_SCALE=1` for the paper's
 //! full-scale setting) and re-runs the pushdown workload out of core.
@@ -107,9 +108,9 @@ fn paper_reference(section: &str) -> Option<&'static str> {
              whose batch-mode execution probes bitmap filters over vectors of \
              rows rather than row-at-a-time. This reproduction's word-level \
              probe kernels (selection-vector batches, 64 rows per survivor \
-             word) play that role; the scalar kernels remain as the \
-             differential oracle and both modes are bit-identical \
-             (tests/tests/kernel_oracle.rs).",
+             word) play that role. They are the executor's only probe path; \
+             a row-at-a-time reference executor checks whole queries against \
+             them bit for bit (tests/src/reference.rs).",
         ),
         "storage_scan" => Some(
             "Paper (Section 6 setup): the evaluation ran over on-disk TPC-DS, \

@@ -276,7 +276,10 @@ pub fn run_ablation_threshold(scale: Scale, queries: usize) -> Vec<ThresholdAbla
             let prepared = engine
                 .prepare(query, OptimizerChoice::BqoWithThreshold(threshold))
                 .expect("query optimizes");
-            let result = session.run(&prepared).expect("query executes");
+            let result = session
+                .execute(&prepared, RunOptions::new())
+                .expect("query executes")
+                .result;
             total_work += result.metrics.logical_work();
             total_secs += result.metrics.elapsed_secs();
             filters += result.metrics.filters_created;
@@ -511,8 +514,9 @@ pub fn run_serving_throughput(scale: Scale, num_requests: usize) -> ServingThrou
             rows = (0..num_requests)
                 .map(|i| {
                     session
-                        .run(&prepared[i % prepared.len()])
+                        .execute(&prepared[i % prepared.len()], RunOptions::new())
                         .expect("executes")
+                        .result
                         .output_rows
                 })
                 .sum();
@@ -710,15 +714,16 @@ pub fn run_scheduling(scale: Scale, low_backlog: usize) -> SchedulingResult {
     }
 }
 
-/// One kernel of the probe-throughput comparison: the same work done by the
-/// scalar row-at-a-time loop and the vectorized word-level path.
+/// One filter shape of the probe-throughput comparison: the same keys probed
+/// by a row-at-a-time `maybe_contains` loop and by the word-level
+/// `probe_words` path.
 #[derive(Debug, Clone)]
 pub struct ProbeKernelPoint {
-    /// Kernel label, e.g. `bitmap(dense)` or `end_to_end(scan+probe)`.
+    /// Filter shape label, e.g. `bitmap(dense)`.
     pub kernel: String,
-    /// Million rows (keys) probed per second, scalar reference.
+    /// Million rows (keys) probed per second, `maybe_contains` loop.
     pub scalar_mrows_per_sec: f64,
-    /// Million rows (keys) probed per second, vectorized kernels.
+    /// Million rows (keys) probed per second, `probe_words`.
     pub vectorized_mrows_per_sec: f64,
     /// `vectorized / scalar` throughput ratio.
     pub speedup: f64,
@@ -727,17 +732,16 @@ pub struct ProbeKernelPoint {
     pub survivors: u64,
 }
 
-/// The probe-throughput experiment: per-filter-kind kernel microbenchmarks
-/// plus an end-to-end scan+probe differential under the two kernel modes.
+/// The probe-throughput experiment: per-filter-kind kernel microbenchmarks.
 #[derive(Debug, Clone)]
 pub struct ProbeThroughputResult {
+    /// Workload scale the key count was derived from.
+    pub scale: f64,
+    /// Hardware threads the host exposes.
+    pub available_parallelism: usize,
     /// Keys probed per kernel measurement round.
     pub keys_per_round: usize,
     pub kernels: Vec<ProbeKernelPoint>,
-    /// End-to-end star-workload execution (`KernelMode::Scalar` vs
-    /// `KernelMode::Vectorized`), rows/sec measured as bitvector-probed
-    /// tuples per wall-clock second.
-    pub end_to_end: ProbeKernelPoint,
 }
 
 /// Times `f` and returns the best (minimum) of `rounds` wall-clock runs —
@@ -754,21 +758,14 @@ fn best_of<T>(rounds: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, last.expect("at least one round"))
 }
 
-/// Runs the `fig_probe_throughput` experiment (ISSUE 8 acceptance: the
-/// word-level scan+probe kernels must clear 2x scalar rows/sec at scale
-/// 0.1).
-///
-/// Kernel level: for each filter shape — dense bitmap, sparse-fallback
-/// bitmap, exact hash set, Bloom, blocked Bloom — one key column is probed
-/// with the scalar `maybe_contains` loop and with
-/// [`bqo_core::bitvector::BitvectorFilter::probe_words`], counting
-/// survivors both ways (and asserting they agree, so the speedup is never
-/// bought with a wrong answer). End to end: the star workload's BQO plans
-/// execute under `KernelMode::Scalar` and `KernelMode::Vectorized` with
-/// rows and counters asserted identical.
+/// Runs the `fig_probe_throughput` experiment: for each filter shape —
+/// dense bitmap, sparse-fallback bitmap, exact hash set, Bloom, blocked
+/// Bloom — one key column is probed with a row-at-a-time `maybe_contains`
+/// loop and with [`bqo_core::bitvector::BitvectorFilter::probe_words`],
+/// counting survivors both ways (and asserting they agree, so the speedup
+/// is never bought with a wrong answer).
 pub fn run_probe_throughput(scale: Scale) -> ProbeThroughputResult {
     use bqo_core::bitvector::{AnyFilter, BitvectorFilter};
-    use bqo_core::exec::KernelMode;
 
     let keys_per_round = ((scale.0 * 10_000_000.0) as usize).clamp(100_000, 20_000_000);
     // Deterministic keys over a 100k-value domain, ~40% of which is in the
@@ -849,56 +846,11 @@ pub fn run_probe_throughput(scale: Scale) -> ProbeThroughputResult {
         });
     }
 
-    // End to end: the same star-workload setup the parallel-scaling
-    // experiment uses, single-threaded and unbatched so the kernel shape is
-    // the only variable.
-    let workload = star::generate(scale, 4, 6, 11);
-    let engine = Engine::from_catalog(workload.catalog.clone());
-    let session = engine.session();
-    let prepared: Vec<_> = workload
-        .queries
-        .iter()
-        .map(|q| engine.prepare(q, OptimizerChoice::Bqo).expect("optimizes"))
-        .collect();
-    let run_mode = |mode: KernelMode| {
-        let config = ExecConfig::default()
-            .with_batch_size(usize::MAX)
-            .with_num_threads(1)
-            .with_kernel_mode(mode);
-        best_of(3, || {
-            let mut rows = 0u64;
-            let mut probed = 0u64;
-            for p in &prepared {
-                let out = session
-                    .execute(p, RunOptions::new().with_exec_config(config))
-                    .expect("executes");
-                rows += out.result.output_rows;
-                probed += out.result.metrics.filter_stats.probed;
-            }
-            (rows, probed)
-        })
-    };
-    let (scalar_secs, (scalar_rows, scalar_probed)) = run_mode(KernelMode::Scalar);
-    let (vector_secs, (vector_rows, vector_probed)) = run_mode(KernelMode::Vectorized);
-    assert_eq!(scalar_rows, vector_rows, "kernel mode changed the answer");
-    assert_eq!(
-        scalar_probed, vector_probed,
-        "kernel mode changed the probe accounting"
-    );
-    let scalar_mrows = scalar_probed as f64 / scalar_secs.max(1e-12) / 1e6;
-    let vector_mrows = vector_probed as f64 / vector_secs.max(1e-12) / 1e6;
-    let end_to_end = ProbeKernelPoint {
-        kernel: "end_to_end(scan+probe)".into(),
-        scalar_mrows_per_sec: scalar_mrows,
-        vectorized_mrows_per_sec: vector_mrows,
-        speedup: vector_mrows / scalar_mrows.max(1e-12),
-        survivors: scalar_rows,
-    };
-
     ProbeThroughputResult {
+        scale: scale.0,
+        available_parallelism: std::thread::available_parallelism().map_or(1, |p| p.get()),
         keys_per_round,
         kernels,
-        end_to_end,
     }
 }
 
@@ -1277,7 +1229,7 @@ mod tests {
     fn probe_throughput_reports_identical_answers() {
         let result = run_probe_throughput(TINY);
         assert_eq!(result.kernels.len(), 5, "one point per filter shape");
-        for point in result.kernels.iter().chain([&result.end_to_end]) {
+        for point in &result.kernels {
             assert!(
                 point.scalar_mrows_per_sec > 0.0 && point.vectorized_mrows_per_sec > 0.0,
                 "{}: throughput must be positive",
@@ -1289,7 +1241,8 @@ mod tests {
         let dense = &result.kernels[0];
         assert!(dense.survivors > 0);
         assert!((dense.survivors as usize) < result.keys_per_round);
-        assert!(result.end_to_end.survivors > 0);
+        assert_eq!(result.scale, TINY.0);
+        assert!(result.available_parallelism >= 1);
     }
 
     #[test]

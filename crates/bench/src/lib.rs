@@ -25,7 +25,7 @@ pub mod prelude {
     pub use bqo_core::workloads::{job_like, Scale};
     pub use bqo_core::{
         BqoError, CacheStatus, Engine, OptimizerChoice, Params, PlanCache, PreparedStatement,
-        Session,
+        RunOptions, Session,
     };
 }
 

@@ -547,8 +547,8 @@ pub fn render_scheduling(result: &SchedulingResult) -> String {
     out
 }
 
-/// Renders the probe-throughput comparison (ISSUE 8 acceptance: ≥2x on the
-/// scan+probe kernel path at scale 0.1).
+/// Renders the probe-throughput comparison: per filter shape, a
+/// `maybe_contains` loop vs word-level `probe_words`.
 pub fn print_probe_throughput(result: &ProbeThroughputResult) {
     print!("{}", render_probe_throughput(result));
 }
@@ -558,20 +558,23 @@ pub fn render_probe_throughput(result: &ProbeThroughputResult) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Probe throughput — scalar row-at-a-time vs vectorized word-level kernels \
-         ({} keys per round)",
-        result.keys_per_round
+        "Probe throughput — maybe_contains loop vs word-level probe_words \
+         (scale {}, {} keys per round, host exposes {} hardware thread{})",
+        result.scale,
+        result.keys_per_round,
+        result.available_parallelism,
+        if result.available_parallelism == 1 {
+            ""
+        } else {
+            "s"
+        }
     );
     let _ = writeln!(
         out,
         "{:>26} {:>16} {:>16} {:>9} {:>12}",
-        "kernel", "scalar Mrows/s", "vector Mrows/s", "speedup", "survivors"
+        "filter", "loop Mrows/s", "words Mrows/s", "speedup", "survivors"
     );
-    for point in result
-        .kernels
-        .iter()
-        .chain(std::iter::once(&result.end_to_end))
-    {
+    for point in &result.kernels {
         let _ = writeln!(
             out,
             "{:>26} {:>16.1} {:>16.1} {:>8.2}x {:>12}",
@@ -584,17 +587,16 @@ pub fn render_probe_throughput(result: &ProbeThroughputResult) -> String {
     }
     let _ = writeln!(
         out,
-        "(survivor counts are asserted identical between the two shapes; \
-         end-to-end rows/sec counts bitvector-probed tuples per second across \
-         the star workload's BQO plans)"
+        "(survivor counts are asserted identical between the two shapes)"
     );
     let _ = writeln!(out);
     out
 }
 
 /// Machine-readable record of the probe-throughput run (`BENCH_probe.json`):
-/// rows/sec per kernel, scalar vs vectorized, so later PRs can regress
-/// against the trajectory. Hand-rolled JSON — the build has no serde.
+/// rows/sec per filter shape, `maybe_contains` loop (`scalar_*`) vs
+/// `probe_words` (`vectorized_*`), with the scale, host and build profile
+/// the numbers were taken on. Hand-rolled JSON — the build has no serde.
 pub fn render_probe_json(result: &ProbeThroughputResult) -> String {
     fn entry(out: &mut String, point: &crate::experiments::ProbeKernelPoint) {
         let _ = write!(
@@ -612,6 +614,23 @@ pub fn render_probe_json(result: &ProbeThroughputResult) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"experiment\": \"probe_throughput\",");
+    let _ = writeln!(out, "  \"scale\": {},", result.scale);
+    let _ = writeln!(
+        out,
+        "  \"host\": {{\"available_parallelism\": {}, \"os\": \"{}\", \"arch\": \"{}\"}},",
+        result.available_parallelism,
+        std::env::consts::OS,
+        std::env::consts::ARCH
+    );
+    let _ = writeln!(
+        out,
+        "  \"profile\": \"{}\",",
+        if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        }
+    );
     let _ = writeln!(out, "  \"keys_per_round\": {},", result.keys_per_round);
     let _ = writeln!(out, "  \"kernels\": [");
     for (i, point) in result.kernels.iter().enumerate() {
@@ -626,10 +645,7 @@ pub fn render_probe_json(result: &ProbeThroughputResult) -> String {
             }
         );
     }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"end_to_end\":");
-    entry(&mut out, &result.end_to_end);
-    let _ = writeln!(out);
+    let _ = writeln!(out, "  ]");
     let _ = writeln!(out, "}}");
     out
 }
@@ -751,15 +767,14 @@ mod tests {
         let result = experiments::run_probe_throughput(Scale(0.01));
         let json = render_probe_json(&result);
         // Structural smoke checks (no JSON parser in the build): balanced
-        // braces/brackets, one object per kernel plus the end-to-end entry.
+        // braces/brackets, one object per filter shape, scale and host
+        // recorded.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(
-            json.matches("\"kernel\":").count(),
-            result.kernels.len() + 1
-        );
+        assert_eq!(json.matches("\"kernel\":").count(), result.kernels.len());
         assert!(json.contains("\"experiment\": \"probe_throughput\""));
-        assert!(json.contains("end_to_end(scan+probe)"));
+        assert!(json.contains("\"scale\": 0.01"));
+        assert!(json.contains("\"available_parallelism\":"));
     }
 
     #[test]

@@ -309,7 +309,9 @@ impl Engine {
     /// configuration.
     pub fn run(&self, query: &QuerySpec, choice: OptimizerChoice) -> Result<QueryResult, BqoError> {
         let stmt = self.prepare(query, choice)?;
-        self.session().run(&stmt)
+        self.session()
+            .execute(&stmt, RunOptions::new())
+            .map(|out| out.result)
     }
 
     /// Executes a hand-built physical plan (e.g. a specific join order under
@@ -427,16 +429,11 @@ fn render_rows(n: usize) -> String {
 
 /// Renders the execution-configuration line appended to EXPLAIN output.
 fn render_exec_config(config: ExecConfig) -> String {
-    let kernels = match config.kernel_mode {
-        bqo_exec::KernelMode::Vectorized => "vectorized",
-        bqo_exec::KernelMode::Scalar => "scalar",
-    };
     format!(
-        "execution: batch_size={}, num_threads={}, morsel_size={}, kernels={}, zone_map_pruning={}\n",
+        "execution: batch_size={}, num_threads={}, morsel_size={}, zone_map_pruning={}\n",
         render_rows(config.batch_size),
         config.num_threads,
         render_rows(config.effective_morsel_size()),
-        kernels,
         if config.zone_map_pruning { "on" } else { "off" }
     )
 }
@@ -783,41 +780,6 @@ impl Session {
         })
     }
 
-    /// Runs a prepared statement with the session's execution configuration.
-    /// Thin wrapper over [`Session::execute`], kept for existing callers.
-    #[doc(hidden)]
-    pub fn run(&self, stmt: &PreparedStatement) -> Result<QueryResult, BqoError> {
-        self.execute(stmt, RunOptions::new()).map(|out| out.result)
-    }
-
-    /// Runs a prepared statement with an explicit execution configuration.
-    /// Thin wrapper over [`Session::execute`], kept for existing callers.
-    #[doc(hidden)]
-    pub fn run_with(
-        &self,
-        stmt: &PreparedStatement,
-        config: ExecConfig,
-    ) -> Result<QueryResult, BqoError> {
-        self.execute(stmt, RunOptions::new().with_exec_config(config))
-            .map(|out| out.result)
-    }
-
-    /// Runs a prepared statement and returns the concatenated output rows.
-    /// Thin wrapper over [`Session::execute`] with
-    /// [`RunOptions::collecting_rows`], kept for existing callers.
-    #[doc(hidden)]
-    pub fn run_with_rows(
-        &self,
-        stmt: &PreparedStatement,
-        config: ExecConfig,
-    ) -> Result<(QueryResult, Batch), BqoError> {
-        self.execute(
-            stmt,
-            RunOptions::new().with_exec_config(config).collecting_rows(),
-        )
-        .map(|out| (out.result, out.rows.expect("rows were collected")))
-    }
-
     /// EXPLAIN-style rendering of a statement's plan under the session's
     /// execution configuration.
     pub fn explain(&self, stmt: &PreparedStatement) -> String {
@@ -879,9 +841,5 @@ mod tests {
         assert!(line.contains("batch_size=unbatched"), "{line}");
         assert!(line.contains("num_threads=4"), "{line}");
         assert!(line.contains("morsel_size=64"), "{line}");
-        let line = render_exec_config(
-            ExecConfig::default().with_kernel_mode(bqo_exec::KernelMode::Scalar),
-        );
-        assert!(line.contains("kernels=scalar"), "{line}");
     }
 }

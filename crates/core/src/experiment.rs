@@ -308,7 +308,7 @@ fn record_for(
     let prepared = engine.prepare(query, choice)?;
     let mut best: Option<RunRecord> = None;
     for _ in 0..options.repetitions.max(1) {
-        let result = session.run(&prepared)?;
+        let result = session.execute(&prepared, EngineRunOptions::new())?.result;
         let record = RunRecord {
             estimated_cost: prepared.estimated_cost().total,
             elapsed_secs: result.metrics.elapsed_secs(),

@@ -69,7 +69,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use bqo_core::{CacheStatus, Engine, OptimizerChoice, Params};
+//! use bqo_core::{CacheStatus, Engine, OptimizerChoice, Params, RunOptions};
 //! use bqo_core::workloads::{star, Scale};
 //!
 //! // Generate a small star-schema workload and build an engine around it.
@@ -81,11 +81,12 @@
 //! let query = &workload.queries[0];
 //! let stmt = engine.prepare(query, OptimizerChoice::Bqo).unwrap();
 //! println!("{}", session.explain(&stmt));
-//! let result = session.run(&stmt).unwrap();
+//! let result = session.execute(&stmt, RunOptions::new()).unwrap().result;
 //!
 //! // The same query prepared with the baseline returns the same answer.
 //! let baseline = engine.prepare(query, OptimizerChoice::Baseline).unwrap();
-//! assert_eq!(result.output_rows, session.run(&baseline).unwrap().output_rows);
+//! let again = session.execute(&baseline, RunOptions::new()).unwrap();
+//! assert_eq!(result.output_rows, again.result.output_rows);
 //!
 //! // Parameterized serving: one template, many binds, one cache entry.
 //! let template = star::build_param_query("by_category", 3, &[0]);
@@ -97,7 +98,9 @@
 //!     .unwrap();
 //! assert_eq!(a.cache_status(), CacheStatus::Miss);
 //! assert_eq!(b.cache_status(), CacheStatus::Hit); // optimizer skipped
-//! assert!(session.run(&a).unwrap().output_rows <= session.run(&b).unwrap().output_rows);
+//! let a_out = session.execute(&a, RunOptions::new()).unwrap();
+//! let b_out = session.execute(&b, RunOptions::new()).unwrap();
+//! assert!(a_out.result.output_rows <= b_out.result.output_rows);
 //! ```
 //!
 //! ## Execution model
@@ -149,8 +152,7 @@ pub use server::{
 };
 
 pub use bqo_exec::{
-    BoundPlan, CancelToken, ExecConfig, ExecutionMetrics, KernelMode, OperatorKind, QueryResult,
-    WorkerPool,
+    BoundPlan, CancelToken, ExecConfig, ExecutionMetrics, OperatorKind, QueryResult, WorkerPool,
 };
 pub use bqo_optimizer::{BaselineOptimizer, BqoOptimizer, Optimizer};
 pub use bqo_plan::{
@@ -208,6 +210,15 @@ mod tests {
     use bqo_workloads::{star, tpcds_like, Scale};
     use std::sync::Arc;
 
+    /// Output row count of one run under the session's configuration.
+    fn output_rows(session: &Session, stmt: &PreparedStatement) -> u64 {
+        session
+            .execute(stmt, RunOptions::new())
+            .unwrap()
+            .result
+            .output_rows
+    }
+
     #[test]
     fn optimize_and_execute_star_query() {
         let w = star::generate(Scale(0.02), 3, 2, 5);
@@ -219,19 +230,9 @@ mod tests {
             let nobv = engine
                 .prepare(q, OptimizerChoice::BaselineNoBitvectors)
                 .unwrap();
-            let bqo_rows = session.run(&bqo).unwrap().output_rows;
-            assert_eq!(
-                bqo_rows,
-                session.run(&base).unwrap().output_rows,
-                "{}",
-                q.name
-            );
-            assert_eq!(
-                bqo_rows,
-                session.run(&nobv).unwrap().output_rows,
-                "{}",
-                q.name
-            );
+            let bqo_rows = output_rows(&session, &bqo);
+            assert_eq!(bqo_rows, output_rows(&session, &base), "{}", q.name);
+            assert_eq!(bqo_rows, output_rows(&session, &nobv), "{}", q.name);
             assert!(bqo.estimated_cost().total <= base.estimated_cost().total + 1e-6);
         }
     }
@@ -245,8 +246,8 @@ mod tests {
             let opt = engine.prepare(q, OptimizerChoice::Bqo).unwrap();
             let opt_b = engine.prepare(q, OptimizerChoice::Baseline).unwrap();
             assert_eq!(
-                session.run(&opt).unwrap().output_rows,
-                session.run(&opt_b).unwrap().output_rows,
+                output_rows(&session, &opt),
+                output_rows(&session, &opt_b),
                 "{}",
                 q.name
             );
@@ -276,10 +277,10 @@ mod tests {
         let engine = Engine::from_catalog(w.catalog);
         let stmt = engine.prepare(&w.queries[0], OptimizerChoice::Bqo).unwrap();
         let session = engine.session();
-        let expected = session.run(&stmt).unwrap().output_rows;
+        let expected = output_rows(&session, &stmt);
         let handle = std::thread::spawn(move || stmt);
         let stmt = handle.join().unwrap();
-        assert_eq!(session.run(&stmt).unwrap().output_rows, expected);
+        assert_eq!(output_rows(&session, &stmt), expected);
     }
 
     #[test]
@@ -316,7 +317,7 @@ mod tests {
                 OptimizerChoice::Bqo,
             )
             .unwrap();
-        assert!(engine.session().run(&stmt).unwrap().output_rows > 0);
+        assert!(output_rows(&engine.session(), &stmt) > 0);
     }
 
     #[test]

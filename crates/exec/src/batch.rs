@@ -173,50 +173,10 @@ impl Batch {
             .map(|i| &*self.columns[i])
     }
 
-    /// Keeps only the logical rows where `mask` is true, materializing a
-    /// dense batch. This is the scalar-oracle path; [`Batch::filter_select`]
-    /// is the lazy equivalent.
-    pub fn filter(&self, mask: &[bool]) -> Batch {
-        assert_eq!(mask.len(), self.num_rows(), "mask length mismatch");
-        match &self.selection {
-            None => {
-                let columns: Vec<Arc<Column>> = self
-                    .columns
-                    .iter()
-                    .map(|c| Arc::new(c.filter(mask)))
-                    .collect();
-                let num_rows = mask.iter().filter(|&&b| b).count();
-                Batch {
-                    schema: self.schema.clone(),
-                    columns,
-                    physical_rows: num_rows,
-                    selection: None,
-                }
-            }
-            Some(sel) => {
-                let indices: Vec<usize> = sel
-                    .iter()
-                    .zip(mask)
-                    .filter_map(|(&p, &keep)| keep.then_some(p as usize))
-                    .collect();
-                let columns: Vec<Arc<Column>> = self
-                    .columns
-                    .iter()
-                    .map(|c| Arc::new(c.take(&indices)))
-                    .collect();
-                Batch {
-                    schema: self.schema.clone(),
-                    columns,
-                    physical_rows: indices.len(),
-                    selection: None,
-                }
-            }
-        }
-    }
-
     /// Keeps only the logical rows where `mask` is true *without copying any
-    /// column data*: survivors are recorded in the selection vector. The
-    /// result is logically identical to [`Batch::filter`] on the same mask.
+    /// column data*: survivors are recorded in the selection vector.
+    /// [`Batch::into_dense`] compacts the result when a dense layout is
+    /// needed.
     pub fn filter_select(mut self, mask: &[bool]) -> Batch {
         assert_eq!(mask.len(), self.num_rows(), "mask length mismatch");
         let selection: Vec<u32> = match self.selection.take() {
@@ -342,27 +302,11 @@ impl Batch {
     }
 
     /// Extracts the join-key values for every logical row, collapsing
-    /// composite keys into a single `i64` via hashing (see [`row_key`]).
-    /// Scalar row-at-a-time reference implementation.
-    pub fn key_values(&self, key_columns: &[ColumnRef]) -> Vec<i64> {
-        let cols = self.key_cols(key_columns);
-        if self.selection.is_none() {
-            if let [Column::Int64(values)] = cols.as_slice() {
-                return values.to_vec();
-            }
-        }
-        match &self.selection {
-            None => (0..self.physical_rows)
-                .map(|row| row_key(&cols, row))
-                .collect(),
-            Some(sel) => sel.iter().map(|&p| row_key(&cols, p as usize)).collect(),
-        }
-    }
-
-    /// Column-at-a-time equivalent of [`Batch::key_values`]: the per-column
-    /// type dispatch is hoisted out of the row loop and composite keys are
-    /// folded one key column at a time over the whole batch. Bit-identical
-    /// to the scalar path (the kernel differential suite pins this).
+    /// composite keys into a single `i64` (see [`row_key`]). Column at a
+    /// time: the per-column type dispatch is hoisted out of the row loop and
+    /// composite keys are folded one key column at a time over the whole
+    /// batch. Bit-identical to calling [`row_key`] per row (the
+    /// `kernel_oracle` suite pins this).
     pub fn key_values_vectorized(&self, key_columns: &[ColumnRef]) -> Vec<i64> {
         let cols = self.key_cols(key_columns);
         let mut out = Vec::new();
@@ -417,8 +361,8 @@ pub fn row_key(cols: &[&Column], row: usize) -> i64 {
 }
 
 /// One column's contribution to a composite key for one physical row.
-/// Shared by the scalar [`row_key`] and the columnar gather so the two key
-/// extraction paths are the same conversion by construction.
+/// Shared by [`row_key`] and the columnar gather so the two key extraction
+/// paths are the same conversion by construction.
 #[inline]
 fn part_at(col: &Column, row: usize) -> i64 {
     match col {
@@ -513,7 +457,11 @@ mod tests {
     #[test]
     fn filter_and_take() {
         let b = sample();
-        let filtered = b.filter(&[true, false, true, false]);
+        let filtered = b
+            .clone()
+            .filter_select(&[true, false, true, false])
+            .into_dense();
+        assert!(filtered.is_dense());
         assert_eq!(filtered.num_rows(), 2);
         assert_eq!(
             filtered
@@ -539,7 +487,7 @@ mod tests {
     fn filter_select_matches_filter() {
         let b = sample();
         let mask = [true, false, true, false];
-        let dense = b.filter(&mask);
+        let dense = b.take(&[0, 2]);
         let lazy = b.clone().filter_select(&mask);
         assert!(!lazy.is_dense());
         assert_eq!(lazy.num_rows(), 2);
@@ -553,13 +501,13 @@ mod tests {
         let b = sample().filter_select(&[true, true, false, true]); // rows 1,2,4
         let refined = b.filter_select(&[false, true, true]); // rows 2,4
         assert_eq!(refined.selection(), Some(&[1u32, 3][..]));
-        assert_eq!(refined, sample().filter(&[false, true, false, true]));
+        assert_eq!(refined, sample().take(&[1, 3]));
     }
 
     #[test]
     fn filter_on_selected_batch_compacts() {
         let b = sample().filter_select(&[true, true, false, true]); // rows 1,2,4
-        let dense = b.filter(&[false, true, true]); // rows 2,4
+        let dense = b.filter_select(&[false, true, true]).into_dense(); // rows 2,4
         assert!(dense.is_dense());
         assert_eq!(
             dense
@@ -595,7 +543,7 @@ mod tests {
         assert_eq!(b, full);
         // Zero survivors == empty dense batch with the same schema.
         let none = b.clone().with_selection(Vec::new());
-        let empty_dense = b.filter(&[false; 4]);
+        let empty_dense = b.take(&[]);
         assert_eq!(none, empty_dense);
         assert_eq!(empty_dense, none);
         // Different logical content != equal.
@@ -640,7 +588,7 @@ mod tests {
     #[test]
     fn single_int_key_fast_path() {
         let b = sample();
-        let keys = b.key_values(&[ColumnRef::new(RelId(0), "id")]);
+        let keys = b.key_values_vectorized(&[ColumnRef::new(RelId(0), "id")]);
         assert_eq!(keys, vec![1, 2, 3, 4]);
     }
 
@@ -648,7 +596,6 @@ mod tests {
     fn key_values_respect_selection() {
         let b = sample().filter_select(&[false, true, false, true]);
         let refs = [ColumnRef::new(RelId(0), "id")];
-        assert_eq!(b.key_values(&refs), vec![2, 4]);
         assert_eq!(b.key_values_vectorized(&refs), vec![2, 4]);
     }
 
@@ -677,13 +624,19 @@ mod tests {
                 ColumnRef::new(RelId(0), "q"),
             ],
         ];
-        for refs in &combos {
-            assert_eq!(b.key_values(refs), b.key_values_vectorized(refs));
-        }
-        // And with a selection applied.
+        // The columnar extraction equals `row_key` applied row by row to
+        // the physical rows behind each logical row, with and without a
+        // selection.
+        let row_at_a_time = |batch: &Batch, refs: &[ColumnRef]| -> Vec<i64> {
+            let cols: Vec<&Column> = refs.iter().map(|c| batch.column(c).unwrap()).collect();
+            (0..batch.num_rows())
+                .map(|r| row_key(&cols, batch.physical_row(r)))
+                .collect()
+        };
         let sel = b.clone().with_selection(vec![4, 0, 2, 2]);
         for refs in &combos {
-            assert_eq!(sel.key_values(refs), sel.key_values_vectorized(refs));
+            assert_eq!(b.key_values_vectorized(refs), row_at_a_time(&b, refs));
+            assert_eq!(sel.key_values_vectorized(refs), row_at_a_time(&sel, refs));
         }
     }
 
@@ -716,7 +669,8 @@ mod tests {
             .build()
             .unwrap();
         let b = Batch::from_table(RelId(0), &t);
-        let keys = b.key_values(&[ColumnRef::new(RelId(0), "a"), ColumnRef::new(RelId(0), "b")]);
+        let keys = b
+            .key_values_vectorized(&[ColumnRef::new(RelId(0), "a"), ColumnRef::new(RelId(0), "b")]);
         assert_eq!(keys.len(), 3);
         assert_ne!(keys[0], keys[1]);
         assert_ne!(keys[0], keys[2]);
@@ -724,7 +678,10 @@ mod tests {
         // Deterministic.
         assert_eq!(
             keys,
-            b.key_values(&[ColumnRef::new(RelId(0), "a"), ColumnRef::new(RelId(0), "b"),])
+            b.key_values_vectorized(&[
+                ColumnRef::new(RelId(0), "a"),
+                ColumnRef::new(RelId(0), "b")
+            ])
         );
     }
 
@@ -790,7 +747,7 @@ mod tests {
             .unwrap();
         let b = Batch::from_table(RelId(0), &t);
         let refs = [ColumnRef::new(RelId(0), "a"), ColumnRef::new(RelId(0), "b")];
-        let keys = b.key_values(&refs);
+        let keys = b.key_values_vectorized(&refs);
         let cols: Vec<&Column> = refs.iter().map(|c| b.column(c).unwrap()).collect();
         for (row, &key) in keys.iter().enumerate() {
             assert_eq!(key, row_key(&cols, row));
@@ -810,6 +767,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "key column")]
     fn missing_key_column_panics() {
-        sample().key_values(&[ColumnRef::new(RelId(9), "id")]);
+        sample().key_values_vectorized(&[ColumnRef::new(RelId(9), "id")]);
     }
 }

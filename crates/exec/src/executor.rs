@@ -19,45 +19,6 @@ pub const DEFAULT_BATCH_SIZE: usize = 4096;
 /// (even to a parked pool worker) costs more than a few hundred probes.
 pub const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
 
-/// Which probe/filter kernel implementations the operators run.
-///
-/// Both modes produce bit-identical rows, batch boundaries and counters for
-/// every `(batch_size, morsel_size, num_threads)` combination — the scalar
-/// kernels are retained as the differential-testing oracle for the
-/// vectorized ones (see the `kernel_oracle` suite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Word-level vectorized kernels (the default): bitvector membership is
-    /// probed 64 rows per survivor word, composite join keys are hashed
-    /// column-at-a-time, and filters mark survivors in selection vectors
-    /// instead of materializing survivor batches.
-    #[default]
-    Vectorized,
-    /// Row-at-a-time scalar kernels — the original implementation, kept as
-    /// the oracle. Pin it globally with `BQO_FORCE_SCALAR=1`.
-    Scalar,
-}
-
-impl KernelMode {
-    /// The default kernel mode honoring the `BQO_FORCE_SCALAR` environment
-    /// variable: any non-empty value other than `0` pins the scalar kernels
-    /// process-wide (read once and cached). Used by `ExecConfig::default()`
-    /// so the whole test suite can be swept under both modes from CI.
-    pub fn from_env() -> Self {
-        static FORCE_SCALAR: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let forced = *FORCE_SCALAR.get_or_init(|| {
-            std::env::var("BQO_FORCE_SCALAR")
-                .map(|v| !v.is_empty() && v != "0")
-                .unwrap_or(false)
-        });
-        if forced {
-            KernelMode::Scalar
-        } else {
-            KernelMode::Vectorized
-        }
-    }
-}
-
 /// Execution configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
@@ -97,10 +58,6 @@ pub struct ExecConfig {
     /// to build deterministic long-running queries for cancellation and
     /// scheduling scenarios.
     pub scan_throttle: Option<Duration>,
-    /// Which probe/filter kernel implementations the operators run
-    /// ([`KernelMode::Vectorized`] by default, unless `BQO_FORCE_SCALAR` is
-    /// set). Results and counters are bit-identical in both modes.
-    pub kernel_mode: KernelMode,
     /// Zone-map chunk pruning for file-backed scans (`true` by default). A
     /// chunk whose min/max bounds prove that no row can satisfy a local
     /// predicate — or that no surviving build key of a pushed-down
@@ -122,7 +79,6 @@ impl Default for ExecConfig {
             morsel_size: None,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             scan_throttle: None,
-            kernel_mode: KernelMode::from_env(),
             zone_map_pruning: true,
         }
     }
@@ -192,26 +148,12 @@ impl ExecConfig {
         self
     }
 
-    /// The same configuration with an explicit kernel mode, overriding the
-    /// `BQO_FORCE_SCALAR`-aware default. The differential harnesses use this
-    /// to sweep vectorized vs scalar kernels within one process.
-    pub fn with_kernel_mode(mut self, kernel_mode: KernelMode) -> Self {
-        self.kernel_mode = kernel_mode;
-        self
-    }
-
     /// The same configuration with zone-map chunk pruning switched on or
     /// off. Off is the A/B baseline: identical rows and counters except
     /// `chunks_pruned`, which stays 0.
     pub fn with_zone_map_pruning(mut self, enabled: bool) -> Self {
         self.zone_map_pruning = enabled;
         self
-    }
-
-    /// Configuration pinned to the row-at-a-time scalar kernels (the
-    /// differential-testing oracle).
-    pub fn scalar_kernels() -> Self {
-        ExecConfig::default().with_kernel_mode(KernelMode::Scalar)
     }
 
     /// Number of workers worth fanning out for `rows` rows under this
@@ -815,77 +757,6 @@ mod tests {
                 assert_eq!(rows, serial.1, "threads {threads} batch {batch_size}");
             }
         }
-    }
-
-    #[test]
-    fn kernel_modes_are_bit_identical() {
-        // The scalar serial unbatched run is the oracle; every (kernel mode,
-        // threads, batch size) cell must reproduce its rows and counters
-        // exactly — including with Bloom filters, whose false positives must
-        // be the *same* false positives in both modes.
-        let catalog = tiny_catalog();
-        let (g, fact, d1, d2) = tiny_graph();
-        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
-        let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-        for base in [
-            ExecConfig::default(),
-            ExecConfig::exact_filters(),
-            ExecConfig {
-                filter_kind: FilterKind::Bloom { bits_per_key: 8 },
-                ..ExecConfig::default()
-            },
-            ExecConfig {
-                filter_kind: FilterKind::BlockedBloom { bits_per_key: 8 },
-                ..ExecConfig::default()
-            },
-        ] {
-            let oracle = Executor::with_config(
-                &catalog,
-                base.with_kernel_mode(KernelMode::Scalar)
-                    .with_batch_size(usize::MAX),
-            )
-            .execute_with_rows(&g, &plan)
-            .unwrap();
-            for mode in [KernelMode::Vectorized, KernelMode::Scalar] {
-                for threads in [1usize, 4] {
-                    for batch_size in [1usize, 7, 1024, usize::MAX] {
-                        let config = base
-                            .with_kernel_mode(mode)
-                            .with_num_threads(threads)
-                            .with_batch_size(batch_size)
-                            .with_parallel_threshold(1);
-                        let (result, rows) = Executor::with_config(&catalog, config)
-                            .execute_with_rows(&g, &plan)
-                            .unwrap();
-                        let label = format!("{mode:?} threads={threads} batch={batch_size}");
-                        assert_eq!(result.output_rows, oracle.0.output_rows, "{label}");
-                        assert_eq!(
-                            result.metrics.operators, oracle.0.metrics.operators,
-                            "{label}"
-                        );
-                        assert_eq!(
-                            result.metrics.filter_stats, oracle.0.metrics.filter_stats,
-                            "{label}"
-                        );
-                        assert_eq!(rows, oracle.1, "{label}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_mode_builders() {
-        assert_eq!(ExecConfig::scalar_kernels().kernel_mode, KernelMode::Scalar);
-        assert_eq!(
-            ExecConfig::scalar_kernels()
-                .with_kernel_mode(KernelMode::Vectorized)
-                .kernel_mode,
-            KernelMode::Vectorized
-        );
-        // The process-wide default is cached; both variants are valid
-        // depending on BQO_FORCE_SCALAR.
-        let _ = KernelMode::from_env();
     }
 
     #[test]

@@ -1,29 +1,27 @@
 //! Vectorized probe kernels.
 //!
 //! The per-morsel hot loops of the scan and join operators — bitvector
-//! membership tests over candidate rows — are implemented here in two
-//! interchangeable shapes selected by [`crate::KernelMode`]:
+//! membership tests over candidate rows — gather the candidates' join keys
+//! column-at-a-time ([`crate::batch::gather_keys`]), probe them 64 keys per
+//! survivor word ([`BitvectorFilter::probe_words`]), and compact the
+//! survivors in place from the word masks. This is the only probe path in
+//! the operators.
 //!
-//! * the **scalar** shape probes one row at a time through
-//!   [`BitvectorFilter::maybe_contains`] (the original implementation, kept
-//!   as the differential-testing oracle), and
-//! * the **vectorized** shape gathers the candidate rows' join keys
-//!   column-at-a-time ([`crate::batch::gather_keys`]), probes them 64 keys
-//!   per survivor word ([`BitvectorFilter::probe_words`]), and compacts the
-//!   survivors in place from the word masks.
-//!
-//! Both shapes produce identical surviving rows **in the same order** and
-//! identical [`FilterStats`] (probed = candidates before the filter,
-//! eliminated = rejected), so every downstream merge, batch boundary and
-//! counter is bit-identical — the `kernel_oracle` suite property-tests this
-//! over word-aligned and ragged lengths.
+//! The result is defined row at a time: a row survives iff
+//! [`BitvectorFilter::maybe_contains`] accepts its key, survivors keep
+//! their order, and [`FilterStats`] count every candidate as probed and
+//! every rejected one as eliminated. The `kernel_oracle` suite
+//! property-tests the kernels against that definition over word-aligned
+//! and ragged lengths, and the row-at-a-time reference executor in the
+//! integration tests checks whole queries against it.
 
 use crate::batch::{gather_keys, row_key};
 use bqo_bitvector::{BitvectorFilter, FilterStats};
 use bqo_storage::Column;
 
-/// Minimum candidate count before the word-level path engages; below it the
-/// scalar loop runs (identical results, no gather/mask setup cost). Plays
+/// Minimum candidate count before the word-level path engages; below it a
+/// `maybe_contains` loop runs (identical results, no gather/mask setup
+/// cost). Plays
 /// the same overhead-gate role as [`crate::ExecConfig::parallel_threshold`]
 /// does for fan-out.
 pub const VECTOR_MIN_ROWS: usize = 16;
@@ -39,7 +37,7 @@ pub struct ProbeScratch {
 /// Vectorized in-place refinement: keeps only the `rows` (physical indices
 /// into `columns`) whose join key passes `filter`, preserving order, and
 /// counts every candidate as probed and every rejected one as eliminated —
-/// exactly like the scalar loop
+/// exactly like the row-at-a-time loop
 /// `rows.retain(|&r| { let keep = filter.maybe_contains(row_key(columns, r)); stats.record(!keep); keep })`.
 pub fn probe_retain<F: BitvectorFilter + ?Sized>(
     filter: &F,

@@ -21,9 +21,9 @@
 //! * **vectorized probe kernels** (see [`kernels`]): [`Batch`]es carry
 //!   optional selection vectors so filters mark survivors without copying
 //!   rows, bitvector membership is probed 64 rows per survivor word
-//!   and composite join keys are hashed column-at-a-time — with the
-//!   row-at-a-time scalar kernels retained as a differential oracle behind
-//!   [`ExecConfig::kernel_mode`] / `BQO_FORCE_SCALAR`,
+//!   and composite join keys are hashed column-at-a-time. This is the one
+//!   probe/key path; its row-at-a-time oracle is the reference executor in
+//!   the integration tests, which shares none of the operator code,
 //! * a persistent [`WorkerPool`] (see [`pool`]): helper workers for the
 //!   parallel sections are parked pool threads woken per section instead of
 //!   freshly spawned ones, so a serving workload of many small queries stops
@@ -68,8 +68,8 @@ pub mod pool;
 pub use batch::Batch;
 pub use cancel::{CancelToken, Interrupted};
 pub use executor::{
-    execute_plan, BoundPlan, ExecConfig, ExecError, Executor, KernelMode, QueryResult,
-    DEFAULT_BATCH_SIZE, DEFAULT_PARALLEL_THRESHOLD,
+    execute_plan, BoundPlan, ExecConfig, ExecError, Executor, QueryResult, DEFAULT_BATCH_SIZE,
+    DEFAULT_PARALLEL_THRESHOLD,
 };
 pub use metrics::{ExecutionMetrics, OperatorKind, OperatorMetrics};
 pub use morsel::{chunk_morsels, morsels, run_morsels, run_morsels_with, Morsel};

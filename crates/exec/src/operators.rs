@@ -28,8 +28,7 @@
 //! partition contiguous row ranges and per-morsel outputs merge in morsel
 //! order.
 
-use crate::batch::{row_key, Batch};
-use crate::executor::KernelMode;
+use crate::batch::Batch;
 use crate::kernels::{probe_mask_range, probe_retain, ProbeScratch};
 use crate::metrics::OperatorKind;
 use crate::morsel::{chunk_morsels, morsels, Morsel};
@@ -168,7 +167,6 @@ impl PhysicalOperator for ScanOp<'_> {
         let num_threads = ctx.config.workers_for(self.table.num_rows());
         let predicates = &self.info.predicates;
         let throttle = ctx.config.scan_throttle;
-        let kernel_mode = ctx.config.kernel_mode;
         let (survivors, merged_stats) = {
             let filters: Vec<Option<&AnyFilter>> = self
                 .placements
@@ -199,42 +197,9 @@ impl PhysicalOperator for ScanOp<'_> {
 
                 // ...then every pushed-down bitvector filter, in placement
                 // order (a row eliminated by one filter is never probed by
-                // the next). Counters stay morsel-local. The two kernel
-                // modes produce identical survivors, order and counters.
+                // the next). Counters stay morsel-local.
                 let mut stats = vec![FilterStats::new(); filters.len()];
-                match kernel_mode {
-                    KernelMode::Scalar => {
-                        for (slot, filter) in filters.iter().enumerate() {
-                            let Some(filter) = filter else {
-                                continue;
-                            };
-                            let columns = &probe_cols[slot];
-                            let slot_stats = &mut stats[slot];
-                            rows.retain(|&row| {
-                                let keep = filter.maybe_contains(row_key(columns, row));
-                                slot_stats.record(!keep);
-                                keep
-                            });
-                        }
-                    }
-                    KernelMode::Vectorized => {
-                        // Gather keys column-at-a-time, probe 64 rows per
-                        // survivor word, compact in place.
-                        let mut scratch = ProbeScratch::default();
-                        for (slot, filter) in filters.iter().enumerate() {
-                            let Some(filter) = filter else {
-                                continue;
-                            };
-                            probe_retain(
-                                *filter,
-                                &probe_cols[slot],
-                                &mut rows,
-                                &mut stats[slot],
-                                &mut scratch,
-                            );
-                        }
-                    }
-                }
+                probe_filters(&filters, &probe_cols, &mut rows, &mut stats);
                 (rows, stats)
             })?;
 
@@ -281,12 +246,11 @@ impl PhysicalOperator for ScanOp<'_> {
                 continue;
             }
             let rows = &self.survivors[from..self.pos];
-            let vectorized =
-                ctx.config.kernel_mode == KernelMode::Vectorized && num_rows <= u32::MAX as usize;
-            let batch = if vectorized {
+            let batch = if num_rows <= u32::MAX as usize {
                 // Zero-copy emission: share the table's columns and mark the
                 // survivors in a selection vector. Logically identical to the
-                // dense batch the scalar path materializes below.
+                // dense batch materialized below for tables whose row ids do
+                // not fit a `u32` selection.
                 let selection: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
                 Batch::from_shared(self.schema.clone(), self.table.columns().to_vec())
                     .with_selection(selection)
@@ -309,6 +273,31 @@ impl PhysicalOperator for ScanOp<'_> {
     fn close(&mut self, ctx: &mut ExecContext) {
         ctx.metrics
             .record_operator(self.node, OperatorKind::Leaf, self.output_rows, 0, 0);
+    }
+}
+
+/// Refines one morsel's candidate `rows` by every pushed-down bitvector
+/// filter in placement order: keys are gathered column-at-a-time, probed 64
+/// rows per survivor word and compacted in place, so a row eliminated by
+/// one filter is never probed by the next. A placement whose filter is
+/// missing (possible only for malformed plans) is skipped.
+fn probe_filters(
+    filters: &[Option<&AnyFilter>],
+    probe_cols: &[Vec<&Column>],
+    rows: &mut Vec<usize>,
+    stats: &mut [FilterStats],
+) {
+    let mut scratch = ProbeScratch::default();
+    for (slot, filter) in filters.iter().enumerate() {
+        if let Some(filter) = filter {
+            probe_retain(
+                *filter,
+                &probe_cols[slot],
+                rows,
+                &mut stats[slot],
+                &mut scratch,
+            );
+        }
     }
 }
 
@@ -356,7 +345,7 @@ struct ChunkScan {
 /// contributes nothing is skipped entirely. Rows, batch boundaries,
 /// `FilterStats` and operator counters are bit-identical to running
 /// [`ScanOp`] over the same rows in memory, for every `(num_threads,
-/// batch_size, kernel_mode, zone_map_pruning)` combination.
+/// batch_size, zone_map_pruning)` combination.
 pub struct FileScanOp<'p> {
     node: NodeId,
     info: &'p RelationInfo,
@@ -472,7 +461,6 @@ impl PhysicalOperator for FileScanOp<'_> {
         let num_threads = ctx.config.workers_for(self.source.num_rows());
         let predicates = &self.info.predicates;
         let throttle = ctx.config.scan_throttle;
-        let kernel_mode = ctx.config.kernel_mode;
         let prune = ctx.config.zone_map_pruning;
         let source = &self.source;
         let placement_cols = &self.placement_cols;
@@ -561,37 +549,7 @@ impl PhysicalOperator for FileScanOp<'_> {
                             .iter()
                             .map(|idxs| idxs.iter().map(|&i| columns[i].as_ref()).collect())
                             .collect();
-                        match kernel_mode {
-                            KernelMode::Scalar => {
-                                for (slot, filter) in filters.iter().enumerate() {
-                                    let Some(filter) = filter else {
-                                        continue;
-                                    };
-                                    let columns = &probe_cols[slot];
-                                    let slot_stats = &mut stats[slot];
-                                    rows.retain(|&row| {
-                                        let keep = filter.maybe_contains(row_key(columns, row));
-                                        slot_stats.record(!keep);
-                                        keep
-                                    });
-                                }
-                            }
-                            KernelMode::Vectorized => {
-                                let mut scratch = ProbeScratch::default();
-                                for (slot, filter) in filters.iter().enumerate() {
-                                    let Some(filter) = filter else {
-                                        continue;
-                                    };
-                                    probe_retain(
-                                        *filter,
-                                        &probe_cols[slot],
-                                        &mut rows,
-                                        &mut stats[slot],
-                                        &mut scratch,
-                                    );
-                                }
-                            }
-                        }
+                        probe_filters(&filters, &probe_cols, &mut rows, &mut stats);
                         // Compact the survivors before the chunk's columns
                         // are dropped — this is what bounds memory to the
                         // survivor set plus `num_threads` in-flight chunks.
@@ -762,16 +720,6 @@ impl<'p> HashJoinOp<'p> {
     }
 }
 
-/// Extracts collapsed join keys from a batch with the kernel-mode-selected
-/// implementation; both produce identical keys (the kernel differential
-/// suite pins this).
-fn batch_keys(mode: KernelMode, batch: &Batch, cols: &[ColumnRef]) -> Vec<i64> {
-    match mode {
-        KernelMode::Scalar => batch.key_values(cols),
-        KernelMode::Vectorized => batch.key_values_vectorized(cols),
-    }
-}
-
 impl PhysicalOperator for HashJoinOp<'_> {
     fn open(&mut self, ctx: &mut ExecContext) -> Result<(), StorageError> {
         // 1. Drain the build side completely.
@@ -786,11 +734,9 @@ impl PhysicalOperator for HashJoinOp<'_> {
         // 2. Publish the bitvector filters sourced at this join, so they are
         //    in place before any probe-side operator produces rows.
         for &(idx, placement) in &self.source_placements {
-            let build_keys = batch_keys(
-                ctx.config.kernel_mode,
-                &self.build_batch,
-                &placement.build_columns,
-            );
+            let build_keys = self
+                .build_batch
+                .key_values_vectorized(&placement.build_columns);
             let filter = AnyFilter::from_keys(ctx.config.filter_kind, &build_keys);
             ctx.publish_filter(idx, filter);
         }
@@ -801,11 +747,7 @@ impl PhysicalOperator for HashJoinOp<'_> {
         //    order, exactly as the serial insertion loop produced it. (The
         //    filters of step 2 are always published single-threaded, keeping
         //    publication order deterministic.)
-        let build_keys = batch_keys(
-            ctx.config.kernel_mode,
-            &self.build_batch,
-            &self.build_key_cols,
-        );
+        let build_keys = self.build_batch.key_values_vectorized(&self.build_key_cols);
         self.build_rows = build_keys.len() as u64;
         let workers = ctx.config.workers_for(build_keys.len());
         let chunks = chunk_morsels(build_keys.len(), workers);
@@ -838,9 +780,8 @@ impl PhysicalOperator for HashJoinOp<'_> {
     fn next_batch(&mut self, ctx: &mut ExecContext) -> Result<Option<Batch>, StorageError> {
         // The serial-loop cancellation seam: one check per probe batch.
         ctx.check_cancelled()?;
-        let kernel_mode = ctx.config.kernel_mode;
         while let Some(probe_batch) = self.probe.next_batch(ctx)? {
-            let probe_keys = batch_keys(kernel_mode, &probe_batch, &self.probe_key_cols);
+            let probe_keys = probe_batch.key_values_vectorized(&self.probe_key_cols);
             self.probe_rows += probe_keys.len() as u64;
 
             // Probe the hash table one contiguous row chunk per worker; the
@@ -883,32 +824,20 @@ impl PhysicalOperator for HashJoinOp<'_> {
                     let Some(filter) = ctx.filter(idx) else {
                         continue;
                     };
-                    let keys = batch_keys(kernel_mode, &output, &placement.probe_columns);
+                    let keys = output.key_values_vectorized(&placement.probe_columns);
                     let workers = ctx.config.workers_for(keys.len());
                     let chunks = chunk_morsels(keys.len(), workers);
                     let parts = ctx.run_morsels(workers, &chunks, |m| {
                         let mut stats = FilterStats::new();
-                        let mask: Vec<bool> = match kernel_mode {
-                            KernelMode::Scalar => m
-                                .rows()
-                                .map(|row| {
-                                    let keep = filter.maybe_contains(keys[row]);
-                                    stats.record(!keep);
-                                    keep
-                                })
-                                .collect(),
-                            KernelMode::Vectorized => {
-                                let mut scratch = ProbeScratch::default();
-                                probe_mask_range(
-                                    filter,
-                                    &keys,
-                                    m.start,
-                                    m.end,
-                                    &mut stats,
-                                    &mut scratch,
-                                )
-                            }
-                        };
+                        let mut scratch = ProbeScratch::default();
+                        let mask = probe_mask_range(
+                            filter,
+                            &keys,
+                            m.start,
+                            m.end,
+                            &mut stats,
+                            &mut scratch,
+                        );
                         (mask, stats)
                     })?;
                     let mut mask: Vec<bool> = Vec::with_capacity(keys.len());
@@ -916,13 +845,9 @@ impl PhysicalOperator for HashJoinOp<'_> {
                         mask.extend(part);
                         merged.merge(&stats);
                     }
-                    // Vectorized mode refines the selection vector in place
-                    // instead of materializing the survivors; logically
-                    // identical output either way.
-                    output = match kernel_mode {
-                        KernelMode::Scalar => output.filter(&mask),
-                        KernelMode::Vectorized => output.filter_select(&mask),
-                    };
+                    // Survivors are marked in the selection vector, not
+                    // materialized.
+                    output = output.filter_select(&mask);
                 }
                 ctx.merge_filter_stats(&merged);
                 self.residual_rows[slot].0 += output.num_rows() as u64;

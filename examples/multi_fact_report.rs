@@ -8,7 +8,7 @@
 //! ```
 
 use bqo_core::workloads::{job_like, Scale};
-use bqo_core::{Engine, OptimizerChoice};
+use bqo_core::{Engine, OptimizerChoice, RunOptions};
 
 fn main() {
     let workload = job_like::generate(Scale(0.1), 12, 7);
@@ -36,7 +36,10 @@ fn main() {
         let session = engine.session();
         for choice in [OptimizerChoice::Baseline, OptimizerChoice::Bqo] {
             let stmt = engine.prepare(query, choice).expect("query prepares");
-            let result = session.run(&stmt).expect("query executes");
+            let result = session
+                .execute(&stmt, RunOptions::new())
+                .expect("query executes")
+                .result;
             println!("--- {} ---", choice.display_label());
             println!("{}", session.explain(&stmt));
             println!(

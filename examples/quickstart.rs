@@ -10,7 +10,7 @@
 //! ```
 
 use bqo_core::{
-    CompareOp, Engine, ForeignKey, OptimizerChoice, Params, QuerySpec, Request, Server,
+    CompareOp, Engine, ForeignKey, OptimizerChoice, Params, QuerySpec, Request, RunOptions, Server,
     ServerConfig, Session, TableBuilder,
 };
 use rand::rngs::StdRng;
@@ -222,7 +222,10 @@ fn main() {
 }
 
 fn serve(session: &Session, label: &str, stmt: &bqo_core::PreparedStatement) {
-    let result = session.run(stmt).expect("query runs");
+    let result = session
+        .execute(stmt, RunOptions::new())
+        .expect("query runs")
+        .result;
     println!("--- {label} ---");
     println!("estimated Cout      : {:.0}", stmt.estimated_cost().total);
     println!("result rows         : {}", result.output_rows);

@@ -14,7 +14,7 @@
 use bqo_core::optimizer::{candidate_plans, enumerate_right_deep};
 use bqo_core::plan::CostModel;
 use bqo_core::workloads::{star, Scale};
-use bqo_core::{Engine, OptimizerChoice};
+use bqo_core::{Engine, OptimizerChoice, RunOptions};
 
 fn main() {
     let num_dims = 5;
@@ -76,7 +76,10 @@ fn main() {
     let session = engine.session();
     for choice in [OptimizerChoice::Baseline, OptimizerChoice::Bqo] {
         let stmt = engine.prepare(&query, choice).expect("query prepares");
-        let result = session.run(&stmt).expect("query executes");
+        let result = session
+            .execute(&stmt, RunOptions::new())
+            .expect("query executes")
+            .result;
         println!(
             "\n{}: estimated Cout {:.0}, joins produced {} tuples, wall time {:.2} ms",
             choice.label(),

@@ -2,12 +2,15 @@
 //!
 //! The actual tests live in `tests/tests/*.rs`; this small library provides
 //! random join-graph construction used by the property-based tests of the
-//! paper's theorems.
+//! paper's theorems, the hand-written mini warehouse and `.slt` reader of the
+//! SQL conformance harness, and the row-at-a-time [`mod@reference`] executor the
+//! differential suites compare the product pipeline against.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 
 pub mod mini;
+pub mod reference;
 pub mod slt;
 
 use bqo_plan::{JoinEdge, JoinGraph, RelationInfo};

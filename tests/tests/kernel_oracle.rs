@@ -1,38 +1,39 @@
 //! Kernel-level differential harness: every vectorized probe kernel against
-//! its scalar oracle.
+//! its row-at-a-time definition.
 //!
-//! The selection-vector/word-probe rewrite (ISSUE 8) replaced the hottest
-//! correctness-critical loops in the executor. This suite pins each
-//! vectorized kernel to the row-at-a-time scalar reference it replaced:
+//! The operators have one probe/key path, the word-level kernels. This
+//! suite pins each of them to the row-at-a-time computation it must equal:
 //!
 //! * word-level bitvector probes (`probe_word`/`probe_words`) for every
 //!   filter kind — dense bitmap, sparse bitmap fallback, exact set, Bloom,
 //!   blocked Bloom — against a `maybe_contains` loop,
 //! * chunked composite-key hashing (`fold_parts` / `gather_keys` /
-//!   `Batch::key_values_vectorized`) against `combine_key` / `row_key` /
-//!   `Batch::key_values`,
+//!   `Batch::key_values_vectorized`) against `combine_key` / `row_key`,
 //! * selection-vector filtering (`Batch::filter_select` + `into_dense`)
-//!   against the dense `Batch::filter`, and
+//!   against the value-by-value copy of the reference module, and
 //! * the executor-facing retain/mask kernels (`probe_retain`,
-//!   `probe_mask_range`) against the scalar retain/map loops, including
-//!   their `FilterStats` accounting,
+//!   `probe_mask_range`) against `maybe_contains` retain/map loops,
+//!   including their `FilterStats` accounting,
 //!
 //! over word-aligned and ragged lengths (0, 1, 63/64/65, non-word-aligned
-//! tails), all-pass and all-fail selections, and randomized inputs. An
-//! end-to-end differential at `BQO_TEST_THREADS` closes the loop at the
-//! engine level. CI runs this file at 1 and 4 threads and additionally with
-//! `-C overflow-checks=on` and `debug_assertions` so wrap-prone word/tail
-//! index arithmetic cannot pass silently.
+//! tails), all-pass and all-fail selections, and randomized inputs. Two
+//! end-to-end matrices close the loop: whole queries must reproduce the
+//! row-at-a-time reference executor (`bqo_integration_tests::reference`)
+//! bit for bit for every filter kind, thread count and batch size. CI runs
+//! this file at 1 and 4 threads, with `-C overflow-checks=on` in release
+//! and with `debug_assertions`, so wrap-prone word/tail index arithmetic
+//! cannot pass silently.
 
 use bqo_core::bitvector::hash::{combine_key, fold_parts};
 use bqo_core::bitvector::{AnyFilter, BitvectorFilter, FilterKind, FilterStats};
 use bqo_core::exec::batch::{gather_keys, row_key};
 use bqo_core::exec::kernels::{probe_mask_range, probe_retain, ProbeScratch};
-use bqo_core::exec::{Batch, ExecConfig, KernelMode};
+use bqo_core::exec::{Batch, ExecConfig, Executor};
 use bqo_core::storage::generator::DataGenerator;
 use bqo_core::storage::{Catalog, Column};
 use bqo_core::{ColumnPredicate, CompareOp, Engine, OptimizerChoice, QuerySpec, RunOptions};
 use bqo_integration_tests::env_threads;
+use bqo_integration_tests::reference::{self, filter_rows, key_values, tiny_star};
 use bqo_plan::{ColumnRef, RelId};
 use proptest::prelude::*;
 
@@ -188,8 +189,9 @@ proptest! {
     }
 
     /// Selection-vector filtering is invisible: `filter_select` + densify
-    /// equals the dense `filter`, stacking across two rounds of masks, and
-    /// the vectorized key extraction agrees on the surviving selection.
+    /// equals a value-by-value copy of the surviving rows, stacking across
+    /// two rounds of masks, and the vectorized key extraction agrees with
+    /// `row_key` on the surviving selection.
     #[test]
     fn selection_filter_and_keys_match_dense_reference(
         cells in prop::collection::vec((-50i64..50, 0u8..2, 0u8..2), 0..130),
@@ -203,7 +205,7 @@ proptest! {
             vec![Column::Int64(ints), Column::Float64(floats)],
         );
 
-        let dense_once = batch.filter(&mask1);
+        let dense_once = filter_rows(&batch, &mask1);
         let selected_once = batch.clone().filter_select(&mask1);
         prop_assert_eq!(&selected_once, &dense_once);
         prop_assert_eq!(&selected_once.clone().into_dense(), &dense_once);
@@ -215,20 +217,20 @@ proptest! {
             .filter(|&&(_, m, _)| m == 1)
             .map(|&(_, _, m2)| m2 == 1)
             .collect();
-        let dense_twice = dense_once.filter(&mask2);
+        let dense_twice = filter_rows(&dense_once, &mask2);
         let selected_twice = selected_once.filter_select(&mask2);
         prop_assert_eq!(&selected_twice, &dense_twice);
 
         // Key extraction on the selected survivor batch: vectorized ==
-        // scalar == keys of the dense equivalent.
+        // row-at-a-time == keys of the dense equivalent.
         let key_cols = [schema[0].clone()];
         prop_assert_eq!(
             selected_twice.key_values_vectorized(&key_cols),
-            dense_twice.key_values(&key_cols)
+            key_values(&dense_twice, &key_cols)
         );
         prop_assert_eq!(
-            selected_twice.key_values(&key_cols),
-            dense_twice.key_values(&key_cols)
+            key_values(&selected_twice, &key_cols),
+            key_values(&dense_twice, &key_cols)
         );
     }
 
@@ -282,11 +284,46 @@ proptest! {
     }
 }
 
-/// End-to-end closure: a generated star query executed with vectorized and
-/// scalar kernels (serial and at `BQO_TEST_THREADS`, across batch sizes)
-/// produces bit-identical rows, operator counters and `FilterStats`.
+/// The hand-sized star, executed by the product across every filter kind ×
+/// threads {1, 4} × batch sizes {1, 7, 1024, unbatched} with fan-out forced
+/// on (`parallel_threshold(1)`), reproduces the reference executor bit for
+/// bit — for Bloom filters that means the *same* false positives.
 #[test]
-fn kernel_modes_agree_end_to_end() {
+fn tiny_star_matrix_matches_reference() {
+    let (catalog, graph, plan) = tiny_star();
+    for kind in [
+        FilterKind::Bitmap,
+        FilterKind::Exact,
+        FilterKind::Bloom { bits_per_key: 8 },
+        FilterKind::BlockedBloom { bits_per_key: 8 },
+    ] {
+        let base = ExecConfig {
+            filter_kind: kind,
+            ..ExecConfig::default()
+        };
+        let oracle = reference::execute(&catalog, &graph, &plan, base).unwrap();
+        for threads in [1usize, 4] {
+            for batch_size in [1usize, 7, 1024, usize::MAX] {
+                let config = base
+                    .with_num_threads(threads)
+                    .with_batch_size(batch_size)
+                    .with_parallel_threshold(1);
+                let (result, rows) = Executor::with_config(&catalog, config)
+                    .execute_with_rows(&graph, &plan)
+                    .unwrap();
+                let label = format!("{kind:?} threads={threads} batch={batch_size}");
+                oracle.assert_matches(&result, &rows, &label);
+            }
+        }
+    }
+}
+
+/// End-to-end closure on a generated star query (skewed fact keys, so
+/// probe loops see ragged survivor words): every (threads, batch size)
+/// cell, serial and at `BQO_TEST_THREADS`, reproduces the reference
+/// executor's rows, operator counters and `FilterStats`.
+#[test]
+fn generated_star_matches_reference_end_to_end() {
     let gen = DataGenerator::new(8);
     let mut catalog = Catalog::new();
     catalog.register_table(gen.dimension_table("d0", 40, 5));
@@ -310,38 +347,27 @@ fn kernel_modes_agree_end_to_end() {
     let session = engine.session();
     let prepared = engine.prepare(&spec, OptimizerChoice::Bqo).unwrap();
 
-    let run = |mode: KernelMode, threads: usize, batch_size: usize| {
-        let config = ExecConfig::default()
-            .with_kernel_mode(mode)
-            .with_num_threads(threads)
-            .with_batch_size(batch_size)
-            .with_parallel_threshold(1);
-        session
-            .execute(
-                &prepared,
-                RunOptions::new().with_exec_config(config).collecting_rows(),
-            )
-            .unwrap()
-    };
-
-    let oracle = run(KernelMode::Scalar, 1, usize::MAX);
-    let oracle_rows = oracle.rows.unwrap();
-    for mode in [KernelMode::Vectorized, KernelMode::Scalar] {
-        for threads in [1, env_threads().max(2)] {
-            for batch_size in [1usize, 61, 1024] {
-                let out = run(mode, threads, batch_size);
-                let label = format!("{mode:?} threads={threads} batch={batch_size}");
-                assert_eq!(out.result.output_rows, oracle.result.output_rows, "{label}");
-                assert_eq!(
-                    out.result.metrics.operators, oracle.result.metrics.operators,
-                    "{label}"
-                );
-                assert_eq!(
-                    out.result.metrics.filter_stats, oracle.result.metrics.filter_stats,
-                    "{label}"
-                );
-                assert_eq!(out.rows.unwrap(), oracle_rows, "{label}");
-            }
+    let oracle = reference::execute(
+        engine.catalog(),
+        prepared.graph(),
+        prepared.plan(),
+        ExecConfig::default(),
+    )
+    .unwrap();
+    for threads in [1, env_threads().max(2)] {
+        for batch_size in [1usize, 61, 1024] {
+            let config = ExecConfig::default()
+                .with_num_threads(threads)
+                .with_batch_size(batch_size)
+                .with_parallel_threshold(1);
+            let out = session
+                .execute(
+                    &prepared,
+                    RunOptions::new().with_exec_config(config).collecting_rows(),
+                )
+                .unwrap();
+            let label = format!("threads={threads} batch={batch_size}");
+            oracle.assert_matches(&out.result, &out.rows.unwrap(), &label);
         }
     }
 }

@@ -4,7 +4,7 @@
 
 use bqo_bench::prelude::{
     exhaustive_best_right_deep, job_like, push_down_bitvectors, CostModel, Engine, ExecConfig,
-    OptimizerChoice, PhysicalPlan, Scale,
+    OptimizerChoice, PhysicalPlan, RunOptions, Scale,
 };
 
 #[test]
@@ -85,8 +85,11 @@ fn bqo_optimizer_picks_the_better_plan_automatically() {
     let session = engine.session();
     let bqo_opt = engine.prepare(query, OptimizerChoice::Bqo).unwrap();
     let base_opt = engine.prepare(query, OptimizerChoice::Baseline).unwrap();
-    let bqo_run = session.run(&bqo_opt).unwrap();
-    let base_run = session.run(&base_opt).unwrap();
+    let bqo_run = session.execute(&bqo_opt, RunOptions::new()).unwrap().result;
+    let base_run = session
+        .execute(&base_opt, RunOptions::new())
+        .unwrap()
+        .result;
     assert_eq!(bqo_run.output_rows, base_run.output_rows);
     assert!(bqo_opt.estimated_cost().total <= base_opt.estimated_cost().total);
     assert!(

@@ -1,20 +1,19 @@
 //! Differential-testing oracle harness for morsel-driven parallel execution.
 //!
-//! Every workload query is executed once through the serial path
-//! (`num_threads = 1`, unbatched, **scalar kernels**) as the **oracle**, then
-//! re-executed across the full `{1, 2, 4, 8} × {1, 7, 1024, usize::MAX}`
-//! thread/batch matrix (plus the `BQO_TEST_THREADS` CI override) under
-//! **both kernel modes** — vectorized (selection vectors + word-level
-//! probes) and scalar. Each cell must reproduce the oracle **bit for bit**:
-//! the concatenated output rows, the per-operator counter list, and every
-//! aggregate filter counter. A single probe counted twice, a row emitted out
-//! of order, a morsel dropped by the scheduler, or a word-probe tail bit
-//! miscounted fails this harness.
+//! Every workload query is executed once by the row-at-a-time **reference
+//! executor** (`bqo_integration_tests::reference`, no batches, morsels or
+//! word-level probes) as the **oracle**, then by the product pipeline
+//! across the full `{1, 2, 4, 8} × {1, 7, 1024, usize::MAX}` thread/batch
+//! matrix (plus the `BQO_TEST_THREADS` CI override). Each cell must
+//! reproduce the oracle **bit for bit**: the concatenated output rows, the
+//! per-operator counter list, and every aggregate filter counter. A single
+//! probe counted twice, a row emitted out of order, a morsel dropped by the
+//! scheduler, or a word-probe tail bit miscounted fails this harness.
 
-use bqo_core::exec::{ExecConfig, KernelMode};
+use bqo_core::exec::ExecConfig;
 use bqo_core::workloads::{star, tpcds_like, Scale};
 use bqo_core::{Engine, OptimizerChoice, QuerySpec, RunOptions};
-use bqo_integration_tests::env_threads;
+use bqo_integration_tests::{env_threads, reference};
 
 const THREAD_MATRIX: [usize; 4] = [1, 2, 4, 8];
 const BATCH_MATRIX: [usize; 4] = [1, 7, 1024, usize::MAX];
@@ -32,7 +31,7 @@ fn thread_counts() -> Vec<usize> {
 
 /// Runs every query of a workload under every optimizer choice through the
 /// whole thread/batch matrix and asserts bit-identical rows and counters
-/// against the serial oracle.
+/// against the reference executor.
 fn assert_parallel_matches_serial_oracle(
     engine: &Engine,
     queries: &[QuerySpec],
@@ -43,61 +42,25 @@ fn assert_parallel_matches_serial_oracle(
     for query in queries {
         for &choice in choices {
             let prepared = engine.prepare(query, choice).unwrap();
-            let oracle_out = session
-                .execute(
-                    &prepared,
-                    RunOptions::new()
-                        .with_exec_config(
-                            base.with_batch_size(usize::MAX)
-                                .with_num_threads(1)
-                                .with_kernel_mode(KernelMode::Scalar),
+            let oracle =
+                reference::execute(engine.catalog(), prepared.graph(), prepared.plan(), base)
+                    .unwrap();
+            for &num_threads in &thread_counts() {
+                for &batch_size in &BATCH_MATRIX {
+                    let config = base
+                        .with_batch_size(batch_size)
+                        .with_num_threads(num_threads);
+                    let out = session
+                        .execute(
+                            &prepared,
+                            RunOptions::new().with_exec_config(config).collecting_rows(),
                         )
-                        .collecting_rows(),
-                )
-                .unwrap();
-            let (oracle, oracle_rows) = (oracle_out.result, oracle_out.rows.unwrap());
-            for kernel_mode in [KernelMode::Vectorized, KernelMode::Scalar] {
-                for &num_threads in &thread_counts() {
-                    for &batch_size in &BATCH_MATRIX {
-                        let config = base
-                            .with_batch_size(batch_size)
-                            .with_num_threads(num_threads)
-                            .with_kernel_mode(kernel_mode);
-                        let out = session
-                            .execute(
-                                &prepared,
-                                RunOptions::new().with_exec_config(config).collecting_rows(),
-                            )
-                            .unwrap();
-                        let (result, rows) = (out.result, out.rows.unwrap());
-                        let label = format!(
-                            "{} / {:?} / {kernel_mode:?} / threads {num_threads} / batch {batch_size}",
-                            query.name, choice
-                        );
-                        // Results: identical rows in identical order.
-                        assert_eq!(result.output_rows, oracle.output_rows, "{label}");
-                        assert_eq!(rows, oracle_rows, "{label}");
-                        // Counters: the full per-operator list (output, build
-                        // and probe tuple counts per plan node, in close
-                        // order) and every aggregate.
-                        assert_eq!(
-                            result.metrics.operators, oracle.metrics.operators,
-                            "{label}"
-                        );
-                        assert_eq!(
-                            result.metrics.filter_stats, oracle.metrics.filter_stats,
-                            "{label}"
-                        );
-                        assert_eq!(
-                            result.metrics.filters_created, oracle.metrics.filters_created,
-                            "{label}"
-                        );
-                        assert_eq!(
-                            result.metrics.logical_work(),
-                            oracle.metrics.logical_work(),
-                            "{label}"
-                        );
-                    }
+                        .unwrap();
+                    let label = format!(
+                        "{} / {:?} / threads {num_threads} / batch {batch_size}",
+                        query.name, choice
+                    );
+                    oracle.assert_matches(&out.result, &out.rows.unwrap(), &label);
                 }
             }
         }

@@ -6,6 +6,7 @@
 use bqo_core::workloads::{star, Scale};
 use bqo_core::{
     CacheStatus, ColumnPredicate, CompareOp, Engine, OptimizerChoice, Params, PlanCache, QuerySpec,
+    RunOptions,
 };
 use std::sync::Arc;
 
@@ -101,7 +102,12 @@ fn fingerprint_is_stable_under_spec_reordering() {
     let fresh_engine = star_engine(7);
     let fresh = fresh_engine.prepare(&b, OptimizerChoice::Bqo).unwrap();
     assert_eq!(
-        fresh_engine.session().run(&fresh).unwrap().output_rows,
+        fresh_engine
+            .session()
+            .execute(&fresh, RunOptions::new())
+            .unwrap()
+            .result
+            .output_rows,
         second_result.output_rows
     );
 
@@ -266,8 +272,17 @@ fn envelope_exit_reoptimizes_and_changes_the_bitvector_placement() {
             )
             .unwrap();
         assert_eq!(
-            session.run(stmt).unwrap().output_rows,
-            fresh_engine.session().run(&fresh).unwrap().output_rows,
+            session
+                .execute(stmt, RunOptions::new())
+                .unwrap()
+                .result
+                .output_rows,
+            fresh_engine
+                .session()
+                .execute(&fresh, RunOptions::new())
+                .unwrap()
+                .result
+                .output_rows,
             "bound={bound}"
         );
     }
@@ -350,5 +365,13 @@ fn lru_eviction_bounds_a_shared_engine_cache() {
 
     // Evicted-and-reloaded plans still execute correctly.
     let stmt = engine.prepare(&queries[1], OptimizerChoice::Bqo).unwrap();
-    assert!(engine.session().run(&stmt).unwrap().output_rows > 0);
+    assert!(
+        engine
+            .session()
+            .execute(&stmt, RunOptions::new())
+            .unwrap()
+            .result
+            .output_rows
+            > 0
+    );
 }

@@ -351,7 +351,12 @@ fn saturated_queue_rejects_with_queue_full() {
     let expected = {
         let engine = Engine::from_catalog(catalog);
         let stmt = engine.prepare(&spec, OptimizerChoice::Bqo).unwrap();
-        engine.session().run(&stmt).unwrap().output_rows
+        engine
+            .session()
+            .execute(&stmt, RunOptions::new())
+            .unwrap()
+            .result
+            .output_rows
     };
 
     server.pause();

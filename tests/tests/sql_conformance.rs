@@ -4,18 +4,18 @@
 //! frontend (`Engine::prepare_sql` / `Engine::bind_sql`), through a
 //! hand-built [`QuerySpec`] oracle, and through a **file-registered** mini
 //! warehouse (every table written to a `.bqo` file and scanned out of
-//! core) — at 1 and 4 worker threads, under both the vectorized (selection
-//! vector + word-level probe) and scalar kernel modes. The harness asserts,
-//! per case:
+//! core) — at 1 and 4 worker threads. The row-at-a-time reference executor
+//! (`bqo_integration_tests::reference`) runs the spec's plan once over the
+//! memory and once over the disk catalog. The harness asserts, per case:
 //!
 //! * the lowered SQL and the oracle spec have the same plan-cache
 //!   fingerprint;
-//! * all three executions return **bit-identical** row batches (same column
-//!   order, same row order, same cells) at each (thread count, kernel mode)
-//!   cell, with identical `FilterStats` across cells — and the disk-backed
-//!   run actually streamed file chunks (`chunks_read > 0`);
-//! * the canonical row rendering matches the rows recorded in the file and
-//!   is invariant across thread counts and kernel modes;
+//! * all three executions reproduce the reference **bit for bit** (same
+//!   column order, row order and cells; same per-operator counters,
+//!   `FilterStats` and filter count) at each thread count — and the
+//!   disk-backed run actually streamed file chunks;
+//! * the reference's canonical row rendering, and the product's at every
+//!   thread count, match the rows recorded in the file;
 //! * preparing the same SQL a second time on the same engine is a plan-cache
 //!   **hit**;
 //! * error cases fail to prepare with a diagnostic containing the recorded
@@ -25,10 +25,11 @@
 //! file from the spec oracle's actual output (useful when adding cases).
 
 use bqo_core::{
-    CacheStatus, Engine, ExecConfig, KernelMode, OptimizerChoice, Params, QueryPhase, Request,
-    RunOptions, Server, ServerConfig,
+    CacheStatus, Engine, ExecConfig, OptimizerChoice, Params, PreparedStatement, QueryPhase,
+    Request, RunOptions, Server, ServerConfig,
 };
 use bqo_integration_tests::mini::{mini_catalog, mini_catalog_on_disk};
+use bqo_integration_tests::reference;
 use bqo_integration_tests::slt::{canonical_rows, SltCase, SltExpect, SltFile};
 use std::path::{Path, PathBuf};
 
@@ -81,125 +82,96 @@ fn run_query_case(ctx: &str, case: &SltCase) -> Vec<String> {
         "{ctx}: lowered SQL and oracle spec disagree on fingerprint"
     );
 
-    let mut canonical_at_one: Option<Vec<String>> = None;
-    let mut reference_stats = None;
-    for threads in THREAD_COUNTS {
-        for kernel_mode in [KernelMode::Vectorized, KernelMode::Scalar] {
-            let config = ExecConfig::default()
-                .with_num_threads(threads)
-                .with_kernel_mode(kernel_mode);
-            let run = RunOptions::new().with_exec_config(config).collecting_rows();
-            let (sql_stmt, spec_stmt) = if binds.is_empty() {
-                (
-                    sql_engine
-                        .prepare_sql(&case.sql, OptimizerChoice::Bqo)
-                        .unwrap_or_else(|e| panic!("{ctx}: prepare_sql failed: {e}")),
-                    spec_engine
-                        .prepare(spec, OptimizerChoice::Bqo)
-                        .unwrap_or_else(|e| panic!("{ctx}: oracle prepare failed: {e}")),
-                )
-            } else {
-                (
-                    sql_engine
-                        .bind_sql(&case.sql, &params, OptimizerChoice::Bqo)
-                        .unwrap_or_else(|e| panic!("{ctx}: bind_sql failed: {e}")),
-                    spec_engine
-                        .bind(spec, &params, OptimizerChoice::Bqo)
-                        .unwrap_or_else(|e| panic!("{ctx}: oracle bind failed: {e}")),
-                )
-            };
-            let sql_out = sql_engine
-                .session()
-                .execute(&sql_stmt, run.clone())
-                .unwrap_or_else(|e| panic!("{ctx}: SQL execution failed: {e}"));
-            let spec_out = spec_engine
-                .session()
-                .execute(&spec_stmt, run.clone())
-                .unwrap_or_else(|e| panic!("{ctx}: oracle execution failed: {e}"));
-            let sql_rows = sql_out.rows.expect("collected rows");
-            let spec_rows = spec_out.rows.expect("collected rows");
-            assert_eq!(
-                sql_rows, spec_rows,
-                "{ctx}: SQL and oracle batches differ at {threads} thread(s), {kernel_mode:?}"
-            );
-
-            // Third leg: the same spec against the file-registered warehouse
-            // must stream its chunks from disk and still match bit for bit.
-            let file_stmt = if binds.is_empty() {
-                file_engine
-                    .prepare(spec, OptimizerChoice::Bqo)
-                    .unwrap_or_else(|e| panic!("{ctx}: file-backed prepare failed: {e}"))
-            } else {
-                file_engine
-                    .bind(spec, &params, OptimizerChoice::Bqo)
-                    .unwrap_or_else(|e| panic!("{ctx}: file-backed bind failed: {e}"))
-            };
-            let file_out = file_engine
-                .session()
-                .execute(&file_stmt, run)
-                .unwrap_or_else(|e| panic!("{ctx}: file-backed execution failed: {e}"));
-            let file_rows = file_out.rows.expect("collected rows");
-            assert_eq!(
-                file_rows, spec_rows,
-                "{ctx}: disk-backed batches differ at {threads} thread(s), {kernel_mode:?}"
-            );
-            assert_eq!(
-                file_out.result.metrics.filter_stats, spec_out.result.metrics.filter_stats,
-                "{ctx}: disk-backed FilterStats differ at {threads} thread(s), {kernel_mode:?}"
-            );
-            // Every chunk was either fetched or zone-map pruned (a case
-            // with an impossible predicate can legitimately prune them all).
-            assert!(
-                file_out.result.metrics.chunks_read + file_out.result.metrics.chunks_pruned > 0,
-                "{ctx}: the file-backed run visited no chunks"
-            );
-            // Filter accounting must be identical across every
-            // (thread count, kernel mode) cell — word-level probes may not
-            // change what gets probed or eliminated.
-            match &reference_stats {
-                None => reference_stats = Some(sql_out.result.metrics.filter_stats),
-                Some(first) => assert_eq!(
-                    first, &sql_out.result.metrics.filter_stats,
-                    "{ctx}: FilterStats changed at {threads} thread(s), {kernel_mode:?}"
-                ),
-            }
-
-            let canonical = canonical_rows(sql_stmt.graph(), &sql_rows);
-            match &canonical_at_one {
-                None => canonical_at_one = Some(canonical),
-                Some(first) => assert_eq!(
-                    first, &canonical,
-                    "{ctx}: canonical rows changed between thread counts/kernel modes"
-                ),
-            }
-
-            // Same SQL again on the same engine: must be served from the cache.
-            let again = if binds.is_empty() {
-                sql_engine
-                    .prepare_sql(&case.sql, OptimizerChoice::Bqo)
-                    .unwrap()
-            } else {
-                sql_engine
-                    .bind_sql(&case.sql, &params, OptimizerChoice::Bqo)
-                    .unwrap()
-            };
-            assert_eq!(
-                again.cache_status(),
-                CacheStatus::Hit,
-                "{ctx}: re-preparing identical SQL missed the plan cache"
-            );
+    let prepare = |engine: &Engine| -> PreparedStatement {
+        if binds.is_empty() {
+            engine.prepare(spec, OptimizerChoice::Bqo)
+        } else {
+            engine.bind(spec, &params, OptimizerChoice::Bqo)
         }
-    }
-
-    let actual = canonical_at_one.expect("at least one thread count ran");
+        .unwrap_or_else(|e| panic!("{ctx}: oracle prepare failed: {e}"))
+    };
+    let reference_for = |engine: &Engine, stmt: &PreparedStatement| {
+        reference::execute(
+            engine.catalog(),
+            stmt.graph(),
+            stmt.plan(),
+            ExecConfig::default(),
+        )
+        .unwrap_or_else(|e| panic!("{ctx}: reference execution failed: {e}"))
+    };
+    let spec_stmt = prepare(&spec_engine);
+    let file_stmt = prepare(&file_engine);
+    let memory_ref = reference_for(&spec_engine, &spec_stmt);
+    let disk_ref = reference_for(&file_engine, &file_stmt);
+    // Registering the tables through their files changes where rows are
+    // read from, and nothing else.
+    assert_eq!(
+        disk_ref, memory_ref,
+        "{ctx}: disk and memory references differ"
+    );
+    let expected = canonical_rows(spec_stmt.graph(), &memory_ref.rows);
     if !bless() {
         assert_eq!(
-            &actual, rows,
-            "{ctx}: result rows differ from the .slt expectation \
+            &expected, rows,
+            "{ctx}: reference rows differ from the .slt expectation \
              (run with BQO_SLT_BLESS=1 to re-bless)"
         );
     }
-    actual
+
+    for threads in THREAD_COUNTS {
+        let config = ExecConfig::default().with_num_threads(threads);
+        let run = RunOptions::new().with_exec_config(config).collecting_rows();
+        let sql_stmt = if binds.is_empty() {
+            sql_engine.prepare_sql(&case.sql, OptimizerChoice::Bqo)
+        } else {
+            sql_engine.bind_sql(&case.sql, &params, OptimizerChoice::Bqo)
+        }
+        .unwrap_or_else(|e| panic!("{ctx}: SQL prepare failed: {e}"));
+        let cell = format!("{ctx} at {threads} thread(s)");
+        for (leg, engine, stmt, oracle) in [
+            ("SQL", &sql_engine, &sql_stmt, &memory_ref),
+            ("spec", &spec_engine, &spec_stmt, &memory_ref),
+            ("disk-backed", &file_engine, &file_stmt, &disk_ref),
+        ] {
+            let out = engine
+                .session()
+                .execute(stmt, run.clone())
+                .unwrap_or_else(|e| panic!("{cell}: {leg} execution failed: {e}"));
+            let rows = out.rows.expect("collected rows");
+            oracle.assert_matches(&out.result, &rows, &format!("{cell}, {leg} leg"));
+            assert_eq!(
+                canonical_rows(stmt.graph(), &rows),
+                expected,
+                "{cell}: {leg} canonical rows changed"
+            );
+            // Every chunk of a file-backed table was either fetched or
+            // zone-map pruned (a case with an impossible predicate can
+            // legitimately prune them all); memory legs touch no chunks.
+            let chunks = out.result.metrics.chunks_read + out.result.metrics.chunks_pruned;
+            assert_eq!(
+                chunks > 0,
+                leg == "disk-backed",
+                "{cell}: {leg} leg visited {chunks} chunks"
+            );
+        }
+
+        // Same SQL again on the same engine: must be served from the cache.
+        let again = if binds.is_empty() {
+            sql_engine
+                .prepare_sql(&case.sql, OptimizerChoice::Bqo)
+                .unwrap()
+        } else {
+            sql_engine
+                .bind_sql(&case.sql, &params, OptimizerChoice::Bqo)
+                .unwrap()
+        };
+        assert_eq!(
+            again.cache_status(),
+            CacheStatus::Hit,
+            "{cell}: re-preparing identical SQL missed the plan cache"
+        );
+    }
+    expected
 }
 
 fn run_error_case(ctx: &str, case: &SltCase) {

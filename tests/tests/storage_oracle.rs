@@ -6,26 +6,27 @@
 //!
 //! * a TPC-DS-like workload executed against a file-backed twin of its
 //!   catalog returns **bit-identical** row batches and `FilterStats` to the
-//!   in-memory original, across {1, 4} worker threads × {vectorized,
-//!   scalar} kernels × {buffered, mmap} access modes;
+//!   in-memory original, across {1, 4} worker threads × {buffered, mmap}
+//!   access modes, and every run reproduces the row-at-a-time reference
+//!   executor (`bqo_integration_tests::reference`) over its own catalog;
 //! * writing a table, reading it back and writing it again reproduces the
 //!   original file byte for byte (the format has one canonical encoding);
 //! * on a selective scan of a fact table clustered by its join key,
 //!   zone-map pruning skips ≥ 50% of the chunks (observed through the
-//!   `chunks_pruned` counter) while rows and `FilterStats` stay identical
-//!   with pruning force-disabled.
+//!   `chunks_pruned` counter) while rows and every counter match the
+//!   reference, pruned or not.
 
 use bqo_core::format::{write_table, AccessMode, CatalogExt, FileReader};
 use bqo_core::workloads::{tpcds_like, Scale};
 use bqo_core::{
-    ColumnPredicate, CompareOp, Engine, ExecConfig, KernelMode, OptimizerChoice, QuerySpec,
+    ColumnPredicate, CompareOp, Engine, ExecConfig, OptimizerChoice, PreparedStatement, QuerySpec,
     RunOptions, StatementOutput, TableBuilder,
 };
+use bqo_integration_tests::reference::{self, ReferenceOutput};
 use bqo_storage::Catalog;
 use std::path::{Path, PathBuf};
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
-const KERNELS: [KernelMode; 2] = [KernelMode::Vectorized, KernelMode::Scalar];
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bqo-storage-oracle-{tag}-{}", std::process::id()));
@@ -61,7 +62,18 @@ fn file_twin(catalog: &Catalog, dir: &Path, chunk_rows: usize, mode: AccessMode)
     twin
 }
 
-fn run(engine: &Engine, stmt: &bqo_core::PreparedStatement, config: ExecConfig) -> StatementOutput {
+/// The reference executor's answer for `stmt` over `engine`'s catalog.
+fn reference(engine: &Engine, stmt: &PreparedStatement) -> ReferenceOutput {
+    reference::execute(
+        engine.catalog(),
+        stmt.graph(),
+        stmt.plan(),
+        ExecConfig::default(),
+    )
+    .expect("reference execution")
+}
+
+fn run(engine: &Engine, stmt: &PreparedStatement, config: ExecConfig) -> StatementOutput {
     engine
         .session()
         .execute(
@@ -72,7 +84,8 @@ fn run(engine: &Engine, stmt: &bqo_core::PreparedStatement, config: ExecConfig) 
 }
 
 /// Disk-backed TPC-DS-like runs are bit-identical (rows and FilterStats) to
-/// the in-memory runs across the threads × kernel-mode × access-mode matrix.
+/// the in-memory runs across the threads × access-mode matrix, and every run
+/// matches the reference executor over its own catalog.
 #[test]
 fn disk_backed_runs_are_bit_identical_to_memory() {
     let dir = temp_dir("tpcds");
@@ -86,6 +99,7 @@ fn disk_backed_runs_are_bit_identical_to_memory() {
     for q in &w.queries {
         let mem_stmt = memory_engine.prepare(q, OptimizerChoice::Bqo).unwrap();
         assert!(mem_stmt.explain().contains("[scan=memory]"));
+        let mem_ref = reference(&memory_engine, &mem_stmt);
         for (label, engine) in [("buffered", &buffered), ("mmap", &mapped)] {
             let file_stmt = engine.prepare(q, OptimizerChoice::Bqo).unwrap();
             assert!(
@@ -94,36 +108,35 @@ fn disk_backed_runs_are_bit_identical_to_memory() {
                 q.name,
                 file_stmt.explain()
             );
+            let file_ref = reference(engine, &file_stmt);
             for threads in THREAD_COUNTS {
-                for kernel in KERNELS {
-                    let config = ExecConfig::default()
-                        .with_num_threads(threads)
-                        .with_kernel_mode(kernel);
-                    let mem = run(&memory_engine, &mem_stmt, config);
-                    let file = run(engine, &file_stmt, config);
-                    let cell = format!("{} [{label}, {threads} thread(s), {kernel:?}]", q.name);
-                    assert_eq!(
-                        mem.result.output_rows, file.result.output_rows,
-                        "{cell}: row counts differ"
-                    );
-                    assert_eq!(mem.rows, file.rows, "{cell}: row batches differ");
-                    assert_eq!(
-                        mem.result.metrics.filter_stats, file.result.metrics.filter_stats,
-                        "{cell}: FilterStats differ"
-                    );
-                    assert_eq!(
-                        mem.result.metrics.chunks_read, 0,
-                        "{cell}: memory run claims file chunks"
-                    );
-                    assert!(
-                        file.result.metrics.chunks_read > 0,
-                        "{cell}: file run read no chunks"
-                    );
-                    assert!(
-                        file.result.metrics.bytes_read > 0,
-                        "{cell}: file run read no bytes"
-                    );
-                }
+                let config = ExecConfig::default().with_num_threads(threads);
+                let mem = run(&memory_engine, &mem_stmt, config);
+                let file = run(engine, &file_stmt, config);
+                let cell = format!("{} [{label}, {threads} thread(s)]", q.name);
+                mem_ref.assert_matches(&mem.result, mem.rows.as_ref().unwrap(), &cell);
+                file_ref.assert_matches(&file.result, file.rows.as_ref().unwrap(), &cell);
+                assert_eq!(
+                    mem.result.output_rows, file.result.output_rows,
+                    "{cell}: row counts differ"
+                );
+                assert_eq!(mem.rows, file.rows, "{cell}: row batches differ");
+                assert_eq!(
+                    mem.result.metrics.filter_stats, file.result.metrics.filter_stats,
+                    "{cell}: FilterStats differ"
+                );
+                assert_eq!(
+                    mem.result.metrics.chunks_read, 0,
+                    "{cell}: memory run claims file chunks"
+                );
+                assert!(
+                    file.result.metrics.chunks_read > 0,
+                    "{cell}: file run read no chunks"
+                );
+                assert!(
+                    file.result.metrics.bytes_read > 0,
+                    "{cell}: file run read no bytes"
+                );
             }
         }
     }
@@ -197,55 +210,43 @@ fn zone_map_pruning_skips_most_chunks_and_changes_nothing() {
         .join("fact", "fk", "dim", "sk")
         .predicate("dim", ColumnPredicate::new("sk", CompareOp::Lt, 100i64));
     let stmt = engine.prepare(&query, OptimizerChoice::Bqo).unwrap();
+    let oracle = reference(&engine, &stmt);
 
     for threads in THREAD_COUNTS {
-        for kernel in KERNELS {
-            let base = ExecConfig::default()
-                .with_num_threads(threads)
-                .with_kernel_mode(kernel);
-            let pruned = run(&engine, &stmt, base);
-            let unpruned = run(&engine, &stmt, base.with_zone_map_pruning(false));
-            let cell = format!("[{threads} thread(s), {kernel:?}]");
+        let base = ExecConfig::default().with_num_threads(threads);
+        let pruned = run(&engine, &stmt, base);
+        let unpruned = run(&engine, &stmt, base.with_zone_map_pruning(false));
+        let cell = format!("[{threads} thread(s)]");
 
-            // Identical answers and identical filter accounting either way.
-            assert_eq!(pruned.result.output_rows, 6400, "{cell}");
-            assert_eq!(
-                pruned.result.output_rows, unpruned.result.output_rows,
-                "{cell}: pruning changed the answer"
-            );
-            assert_eq!(
-                pruned.rows, unpruned.rows,
-                "{cell}: pruning changed the row batches"
-            );
-            assert_eq!(
-                pruned.result.metrics.filter_stats, unpruned.result.metrics.filter_stats,
-                "{cell}: pruning changed FilterStats"
-            );
+        // Identical answers and identical counters either way: both runs
+        // reproduce the reference.
+        assert_eq!(pruned.result.output_rows, 6400, "{cell}");
+        oracle.assert_matches(&pruned.result, pruned.rows.as_ref().unwrap(), &cell);
+        oracle.assert_matches(&unpruned.result, unpruned.rows.as_ref().unwrap(), &cell);
 
-            // The unpruned run touches every chunk; the pruned run skips
-            // well over half of them (the ISSUE's ≥ 50% acceptance bar).
-            let m = &pruned.result.metrics;
-            let total = m.chunks_read + m.chunks_pruned;
-            assert_eq!(
-                total, unpruned.result.metrics.chunks_read,
-                "{cell}: pruned + read must cover every chunk"
-            );
-            assert_eq!(unpruned.result.metrics.chunks_pruned, 0, "{cell}");
-            assert!(
-                m.chunks_pruned * 2 >= total,
-                "{cell}: expected ≥50% of chunks pruned, got {} of {total}",
-                m.chunks_pruned
-            );
-            assert!(
-                m.bytes_read < unpruned.result.metrics.bytes_read,
-                "{cell}: pruning should cut bytes read"
-            );
-            assert!(
-                m.chunk_pruning_ratio() >= 0.5,
-                "{cell}: pruning ratio {}",
-                m.chunk_pruning_ratio()
-            );
-        }
+        // The unpruned run touches every chunk; the pruned run skips
+        // well over half of them (the ≥ 50% acceptance bar).
+        let m = &pruned.result.metrics;
+        let total = m.chunks_read + m.chunks_pruned;
+        assert_eq!(
+            total, unpruned.result.metrics.chunks_read,
+            "{cell}: pruned + read must cover every chunk"
+        );
+        assert_eq!(unpruned.result.metrics.chunks_pruned, 0, "{cell}");
+        assert!(
+            m.chunks_pruned * 2 >= total,
+            "{cell}: expected ≥50% of chunks pruned, got {} of {total}",
+            m.chunks_pruned
+        );
+        assert!(
+            m.bytes_read < unpruned.result.metrics.bytes_read,
+            "{cell}: pruning should cut bytes read"
+        );
+        assert!(
+            m.chunk_pruning_ratio() >= 0.5,
+            "{cell}: pruning ratio {}",
+            m.chunk_pruning_ratio()
+        );
     }
 
     // EXPLAIN ANALYZE surfaces the backing and the pruning counters.
@@ -282,6 +283,11 @@ fn predicate_zone_pruning_matches_unpruned_answers() {
     let file_out = run(&engine, &file_stmt, config);
     let mem_out = run(&memory_engine, &mem_stmt, config);
     assert_eq!(file_out.result.output_rows, 3200);
+    reference(&engine, &file_stmt).assert_matches(
+        &file_out.result,
+        file_out.rows.as_ref().unwrap(),
+        "predicate-pruned file run",
+    );
     assert_eq!(file_out.rows, mem_out.rows);
     assert_eq!(
         file_out.result.metrics.filter_stats,

@@ -143,7 +143,12 @@ fn concurrent_sessions_share_the_engine_pool() {
     let engine = Arc::new(Engine::from_catalog(workload.catalog));
     let query = &workload.queries[0];
     let stmt = Arc::new(engine.prepare(query, OptimizerChoice::Bqo).unwrap());
-    let expected = engine.session().run(&stmt).unwrap().output_rows;
+    let expected = engine
+        .session()
+        .execute(&stmt, RunOptions::new())
+        .unwrap()
+        .result
+        .output_rows;
 
     let clients = env_threads().max(4);
     std::thread::scope(|scope| {
@@ -157,7 +162,14 @@ fn concurrent_sessions_share_the_engine_pool() {
                     .with_batch_size(119 + worker * 61);
                 let session = engine.session().with_exec_config(config);
                 for _ in 0..5 {
-                    assert_eq!(session.run(&stmt).unwrap().output_rows, expected);
+                    assert_eq!(
+                        session
+                            .execute(&stmt, RunOptions::new())
+                            .unwrap()
+                            .result
+                            .output_rows,
+                        expected
+                    );
                 }
             });
         }
